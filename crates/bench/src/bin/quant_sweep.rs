@@ -21,6 +21,14 @@
 //! didn't). A per-bundle saturation table (`quant.bundle<N>.*.saturated`)
 //! rides along from the same telemetry snapshot.
 //!
+//! The **end-to-end speed gate** times the fused INT8 engine forward
+//! against the fused f32 forward of the same trained model on the same
+//! validation frames, interleaving the reps and comparing medians. At
+//! the full budget on the `avx2pair` integer tier (what `auto` picks
+//! wherever AVX2 exists) INT8 must be no slower than f32 (break-even);
+//! at `SKYNET_BENCH_BUDGET=fast`, or under another backend, the ratio is
+//! only reported.
+//!
 //! The report is archived under `bench_results/quant_sweep.md`.
 
 use skynet_bench::runner::{train_detector, TRAIN_DIV};
@@ -31,13 +39,14 @@ use skynet_core::skynet::{SkyNet, SkyNetConfig, Variant};
 use skynet_core::trainer::evaluate_mode;
 use skynet_core::Sample;
 use skynet_hw::quant::{apply_scheme, QuantScheme};
-use skynet_nn::Act;
+use skynet_nn::{Act, Mode};
 use skynet_tensor::crc32::crc32;
 use skynet_tensor::rng::SkyRng;
 use skynet_tensor::Tensor;
 use skynet_tensor::{fusion, simd, telemetry};
 use std::fmt::Write as _;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Maximum allowed gap between the executable INT8 IoU and the closest
 /// analytic scheme (FM8/W8). Both paths quantize the same trained
@@ -66,6 +75,51 @@ fn evaluate_int8(detector: &mut Detector, samples: &[Sample]) -> f32 {
         }
     }
     total / samples.len() as f32
+}
+
+/// Median of a non-empty sample.
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// Median milliseconds per forward of the fused INT8 engine and the
+/// fused f32 backbone on the same `frames`, over `reps` interleaved
+/// rep pairs (which path goes first alternates, so neither always runs
+/// on a cache the other warmed). One untimed forward each builds the
+/// f32 plan and fills the scratch arenas first.
+fn time_int8_vs_f32(
+    detector: &mut Detector,
+    engine: &QuantizedSkyNet,
+    frames: &Tensor,
+    reps: usize,
+) -> (f64, f64) {
+    fusion::force(true);
+    let f32_fwd = |d: &mut Detector| {
+        let t = Instant::now();
+        d.backbone_mut()
+            .forward(frames, Mode::Eval)
+            .expect("f32 forward");
+        t.elapsed().as_secs_f64() * 1e3
+    };
+    let int8_fwd = || {
+        let t = Instant::now();
+        engine.forward(frames).expect("int8 forward");
+        t.elapsed().as_secs_f64() * 1e3
+    };
+    f32_fwd(detector);
+    int8_fwd();
+    let (mut int8_ms, mut f32_ms) = (Vec::new(), Vec::new());
+    for rep in 0..reps {
+        if rep % 2 == 0 {
+            int8_ms.push(int8_fwd());
+            f32_ms.push(f32_fwd(detector));
+        } else {
+            f32_ms.push(f32_fwd(detector));
+            int8_ms.push(int8_fwd());
+        }
+    }
+    (median(int8_ms), median(f32_ms))
 }
 
 fn tensor_crc(t: &Tensor) -> u32 {
@@ -246,6 +300,30 @@ fn main() {
     );
     let calib_sat_rows = sat_counts(&calib_snap);
 
+    // End-to-end speed gate, on the pristine float weights (the
+    // analytic rows below fake-quantize them in place) with telemetry
+    // off: fused INT8 vs fused f32 on the same validation frames.
+    let speed_refs: Vec<&Sample> = val.iter().take(16).collect();
+    let speed_frames = stack_images(&speed_refs);
+    let speed_reps = budget.pick(9, 41);
+    let (int8_ms, f32_ms) = time_int8_vs_f32(&mut detector, &engine, &speed_frames, speed_reps);
+    let speedup = f32_ms / int8_ms;
+    println!(
+        "end to end: fused INT8 {int8_ms:.3} ms vs fused f32 {f32_ms:.3} ms per forward \
+         of {} frames (median of {speed_reps} interleaved reps): INT8 {speedup:.2}x",
+        speed_refs.len()
+    );
+    // The gate binds the integer tier `auto` picks wherever AVX2
+    // exists. The scalar oracle and the widening `sse2`/`avx2` tiers
+    // lose to f32 (`kernel_bench`), so under them the ratio is only
+    // reported.
+    if budget == Budget::Full && simd::active() == simd::Backend::Avx2Pair {
+        assert!(
+            speedup >= 1.0,
+            "fused INT8 forward ({int8_ms:.3} ms) is slower than fused f32 ({f32_ms:.3} ms)"
+        );
+    }
+
     // Analytic rows: Table 7's four schemes plus FM8/W8, the closest
     // analytic point to the executable engine. Snapshot/restore the
     // float weights between schemes (fake-quant mutates in place).
@@ -359,6 +437,21 @@ fn main() {
         report,
         "\nExecutable INT8 vs analytic FM8/W8 gap: **{gap:.3}** (asserted ≤ {INT8_VS_FAKE8_BOUND}).\n"
     );
+    let _ = writeln!(report, "## End-to-end INT8 vs f32\n");
+    let _ = writeln!(
+        report,
+        "Median ms per forward of {} validation frames, fused INT8 engine vs fused \
+         f32 backbone, {speed_reps} interleaved reps, SIMD backend `{}`. At the full \
+         budget on `avx2pair` INT8 is asserted no slower than f32; at the fast budget \
+         or under another backend the ratio is only reported.\n",
+        speed_refs.len(),
+        simd::active().name()
+    );
+    let _ = writeln!(report, "| path | ms/forward |");
+    let _ = writeln!(report, "|---|---:|");
+    let _ = writeln!(report, "| fused f32 | {f32_ms:.3} |");
+    let _ = writeln!(report, "| fused INT8 | {int8_ms:.3} |");
+    let _ = writeln!(report, "\nINT8 speed-up over f32: **{speedup:.2}×**.\n");
     let _ = writeln!(report, "## Cross-backend determinism\n");
     let _ = writeln!(
         report,

@@ -10,8 +10,8 @@
 //! * [`QDwConv3`] — BN-folded 3×3 depth-wise weights quantized to `i8`
 //!   with **per-channel** symmetric scales, integer stencil via
 //!   [`qint::dwconv3_i8`], then the
-//!   scalar requantization epilogue (folded bias, fused activation
-//!   clamp, next stage's scale);
+//!   requantization epilogue [`qint::requant_i8`] (folded bias, fused
+//!   activation clamp, next stage's scale);
 //! * [`QPointwise`] — BN-folded 1×1 point-wise weights quantized the
 //!   same way, executed as an integer matrix product per batch item
 //!   ([`qint::matmul_i8_acc`]),
@@ -91,6 +91,7 @@ impl QFeature {
     ///
     /// Panics when `scale` is not strictly positive and finite.
     pub fn quantize(x: &Tensor, scale: f32) -> (Self, u64) {
+        let _span = telemetry::span("tensor.qquantize");
         let mut data = vec![0i8; x.shape().numel()];
         let saturated = qint::quantize_i8(x.as_slice(), scale, &mut data);
         (
@@ -136,6 +137,7 @@ impl QFeature {
                 detail: format!("spatial extents {}×{} not divisible by {k}", s.h, s.w),
             });
         }
+        let _span = telemetry::span("tensor.qpool");
         Ok(QFeature {
             data: qint::maxpool2d_i8(&self.data, s.n, s.c, s.h, s.w, k),
             shape: s.with_hw(s.h / k, s.w / k),
@@ -166,6 +168,7 @@ impl QFeature {
                 detail: format!("spatial extents {}×{} not divisible by {stride}", s.h, s.w),
             });
         }
+        let _span = telemetry::span("tensor.qreorg");
         Ok(QFeature {
             data: qint::reorg_i8(&self.data, s.n, s.c, s.h, s.w, stride),
             shape: Shape::new(s.n, s.c * stride * stride, s.h / stride, s.w / stride),
@@ -190,6 +193,7 @@ impl QFeature {
                 got: b.to_string(),
             });
         }
+        let _span = telemetry::span("tensor.qconcat");
         let plane = a.plane();
         let oc = a.c + b.c;
         let mut data = vec![0i8; a.n * oc * plane];
@@ -340,6 +344,7 @@ impl QDwConv3 {
         let plane = s.plane();
         let mut acc = vec![0i32; s.numel()];
         qint::dwconv3_i8(&x.data, &self.weight, &mut acc, s.n, s.c, s.h, s.w);
+        let _span = telemetry::span("tensor.qrequant");
         let mut data = vec![0i8; s.numel()];
         let clamp = act_clamp(self.act);
         let mut saturated = 0u64;
@@ -498,6 +503,7 @@ impl QPointwise {
             });
         };
         let (acc, in_scale, os) = self.accumulate(x)?;
+        let _span = telemetry::span("tensor.qrequant");
         let plane = os.plane();
         let clamp = act_clamp(self.act);
         let mut data = vec![0i8; os.numel()];
@@ -534,6 +540,7 @@ impl QPointwise {
     /// `out_scale` requirement.
     pub fn forward_dequant(&self, x: &QFeature) -> Result<Tensor> {
         let (acc, in_scale, os) = self.accumulate(x)?;
+        let _span = telemetry::span("tensor.qdequant");
         let plane = os.plane();
         let mut out = vec![0f32; os.numel()];
         for pi in 0..os.n * os.c {

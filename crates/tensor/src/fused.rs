@@ -349,12 +349,16 @@ impl SendPtrI8 {
 
 /// Row-band height for a fused INT8 bundle: the same L2-residency rule
 /// as [`band_rows`], counted in bytes — per output row the band holds
-/// `c` `i32` + `c` `i8` DW lanes and `c2` `i32` PW lanes.
-fn qband_rows(c: usize, c2: usize, h: usize, w: usize) -> usize {
+/// `c` `i32` + `c` `i8` DW lanes and `c2` `i32` PW lanes. The
+/// parallelism cap asks for about 8 tasks per call, not per item: a
+/// batch of `n ≥ 8` items is parallel already, and cutting each of its
+/// planes into 8 bands would only leave the vector kernels rows too
+/// short to fill their blocks.
+fn qband_rows(n: usize, c: usize, c2: usize, h: usize, w: usize) -> usize {
     const TILE_BYTE_BUDGET: usize = 384 * 1024;
     let per_row = (5 * c + 4 * c2) * w.max(1);
     let r_cache = (TILE_BYTE_BUDGET / per_row).max(1);
-    let r_par = h.div_ceil(8).max(1);
+    let r_par = h.div_ceil(8usize.div_ceil(n.max(1))).max(1);
     r_cache.min(r_par).min(h.max(1))
 }
 
@@ -433,7 +437,7 @@ pub fn qfused_bundle_forward(
         return Ok(QFusedSats { dw: 0, pw: 0 });
     }
 
-    let r = qband_rows(c, c2, h, w);
+    let r = qband_rows(n, c, c2, h, w);
     let nbands = h.div_ceil(r).max(1);
     let tasks = n * nbands;
 

@@ -52,11 +52,34 @@
 //! `qint_equivalence` proptest suite still asserts it bitwise, wrap
 //! boundaries included.
 //!
-//! Requantization (`i32` accumulator → `i8` activation) runs in
-//! scalar f32 on every backend — one multiply, one add, one
-//! `f32::round` (ties away from zero), one clamp per element, in
-//! element order — so it is deterministic by the same
-//! replay-the-exact-sequence argument as the f32 kernels.
+//! ## Why the vector epilogues keep bit-identity
+//!
+//! Requantization (`i32` accumulator → `i8` activation, [`requant_i8`])
+//! and input quantization ([`quantize_i8`]) leave the integer domain,
+//! so they get bit-identity the f32 way: by replaying the exact
+//! sequence. The scalar loop is the oracle and the `Scalar`/`Sse2`
+//! body. The AVX2 backends run 32-element blocks whose every lane does
+//! the same IEEE-754 single-precision ops in the same order as one
+//! scalar iteration:
+//!
+//! * `cvtepi32_ps`, `mul`, `add` — never fused into an FMA;
+//! * the activation clamp as `max_ps(v, lo)` then `min_ps(v, hi)`,
+//!   which is `if v > lo { v } else { lo }` lane for lane, NaN
+//!   included;
+//! * `div_ps` by the scale — a true divide, never a reciprocal;
+//! * `f32::round`'s ties-away rounding emulated exactly: truncate,
+//!   then step `copysign(1, x)` wherever `|x − t| ≥ 0.5` (the
+//!   difference is exact, so ties are detected exactly);
+//! * NaN (and, when quantizing, ±∞) to 0, a `±127` clamp,
+//!   `cvttps_epi32`, and saturating packs to `i8`; saturations are
+//!   counted with `movemask` + popcount.
+//!
+//! Elements are independent, so the block/tail split cannot matter: a
+//! remainder shorter than a block runs through the same vector block
+//! on zero-padded staging, with the padding lanes' saturation bits
+//! masked off. The `qint_equivalence` suite compares every backend to
+//! the scalar oracle bitwise — output and saturation count — on planted
+//! ties up to `±127.5`, `-0.0`, clamp edges, `i32` extremes, NaN and ±∞.
 //!
 //! ## Lane width
 //!
@@ -296,10 +319,11 @@ fn pair_weights(w0: i8, w1: i8) -> i32 {
     (((w1 as i16 as u16 as u32) << 16) | (w0 as i16 as u16 as u32)) as i32
 }
 
-/// The pairing-tier matmul body: 16-column register blocks whose
-/// accumulators stay in `vpmaddwd`'s interleaved pair layout across the
-/// whole `k` loop (no accumulator memory traffic per `k`), reducing two
-/// `i8×i8` products per instruction.
+/// One 16-column pairing block of the matmul: `crow[0..16] ⊞= arow ·
+/// b[.., 0..16]`, where row `p` of the `b` block starts at `b + p·ldb`.
+/// The accumulators stay in `vpmaddwd`'s interleaved pair layout across
+/// the whole `k` loop (no accumulator memory traffic per `k`), reducing
+/// two `i8×i8` products per instruction.
 ///
 /// Layout: `_mm256_unpacklo_epi16(x0, x1)` interleaves in-lane, so the
 /// `madd` of the lo/hi unpacks yields columns `[0..4, 8..12]` and
@@ -308,6 +332,59 @@ fn pair_weights(w0: i8, w1: i8) -> i32 {
 /// natural `[0..8]`/`[8..16]` order in both directions, so existing
 /// accumulator values are permuted in once and the finished block is
 /// permuted back out once.
+///
+/// # Safety
+///
+/// Requires AVX2; `crow` must be readable and writable for 16 `i32`s
+/// and `b + p·ldb` readable for 16 bytes for every `p < arow.len()`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn matmul_block16_avx2pair(arow: &[i8], b: *const i8, ldb: usize, crow: *mut i32) {
+    use std::arch::x86_64::*;
+    let k = arow.len();
+    let acc0 = _mm256_loadu_si256(crow as *const __m256i);
+    let acc1 = _mm256_loadu_si256((crow as *const __m256i).add(1));
+    let mut m0 = _mm256_permute2x128_si256::<0x20>(acc0, acc1);
+    let mut m1 = _mm256_permute2x128_si256::<0x31>(acc0, acc1);
+    let mut p = 0usize;
+    while p + 1 < k {
+        let (w0, w1) = (arow[p], arow[p + 1]);
+        if w0 != 0 || w1 != 0 {
+            let wp = _mm256_set1_epi32(pair_weights(w0, w1));
+            let x0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(b.add(p * ldb) as *const __m128i));
+            let x1 = _mm256_cvtepi8_epi16(_mm_loadu_si128(b.add((p + 1) * ldb) as *const __m128i));
+            m0 = _mm256_add_epi32(m0, _mm256_madd_epi16(_mm256_unpacklo_epi16(x0, x1), wp));
+            m1 = _mm256_add_epi32(m1, _mm256_madd_epi16(_mm256_unpackhi_epi16(x0, x1), wp));
+        }
+        p += 2;
+    }
+    if p < k {
+        let w0 = arow[p];
+        if w0 != 0 {
+            let wp = _mm256_set1_epi32(pair_weights(w0, 0));
+            let x0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(b.add(p * ldb) as *const __m128i));
+            m0 = _mm256_add_epi32(m0, _mm256_madd_epi16(_mm256_unpacklo_epi16(x0, x0), wp));
+            m1 = _mm256_add_epi32(m1, _mm256_madd_epi16(_mm256_unpackhi_epi16(x0, x0), wp));
+        }
+    }
+    _mm256_storeu_si256(
+        crow as *mut __m256i,
+        _mm256_permute2x128_si256::<0x20>(m0, m1),
+    );
+    _mm256_storeu_si256(
+        (crow as *mut __m256i).add(1),
+        _mm256_permute2x128_si256::<0x31>(m0, m1),
+    );
+}
+
+/// The pairing-tier matmul body: [`matmul_block16_avx2pair`] over every
+/// full 16-column block. A column remainder (`n % 16` columns — all of
+/// `n` when `n < 16`) is packed into a zero-padded 16-column panel and
+/// runs through the same block against a 16-wide staging row, so
+/// narrow outputs (the short row bands of small feature maps) stay on
+/// the vector path; the padding columns only feed staging lanes that
+/// are never copied back.
 ///
 /// Exactness: pair sums from sign-extended `i8`s are exact in `i32`
 /// (see the module docs), and wrapping addition is associative, so
@@ -318,76 +395,42 @@ fn pair_weights(w0: i8, w1: i8) -> i32 {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn matmul_i8_rows_avx2pair(a: &[i8], b: &[i8], c: &mut [i32], m: usize, k: usize, n: usize) {
-    use std::arch::x86_64::*;
     let nb = n / 16 * 16;
     for i in 0..m {
         let arow = &a[i * k..i * k + k];
         let crow = &mut c[i * n..i * n + n];
         for j in (0..nb).step_by(16) {
-            // SAFETY: j + 16 <= nb <= n bounds every 16-wide access in
-            // this block; p + 1 < k bounds the paired rows of `b`.
+            // SAFETY: j + 16 <= nb <= n bounds the `c` block, and row p
+            // of `b` holds n >= j + 16 bytes from column 0.
             unsafe {
-                let cp = crow.as_mut_ptr().add(j);
-                let acc0 = _mm256_loadu_si256(cp as *const __m256i);
-                let acc1 = _mm256_loadu_si256((cp as *const __m256i).add(1));
-                let mut m0 = _mm256_permute2x128_si256::<0x20>(acc0, acc1);
-                let mut m1 = _mm256_permute2x128_si256::<0x31>(acc0, acc1);
-                let mut p = 0usize;
-                while p + 1 < k {
-                    let (w0, w1) = (arow[p], arow[p + 1]);
-                    if w0 != 0 || w1 != 0 {
-                        let wp = _mm256_set1_epi32(pair_weights(w0, w1));
-                        let x0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-                            b.as_ptr().add(p * n + j) as *const __m128i
-                        ));
-                        let x1 = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-                            b.as_ptr().add((p + 1) * n + j) as *const __m128i,
-                        ));
-                        m0 = _mm256_add_epi32(
-                            m0,
-                            _mm256_madd_epi16(_mm256_unpacklo_epi16(x0, x1), wp),
-                        );
-                        m1 = _mm256_add_epi32(
-                            m1,
-                            _mm256_madd_epi16(_mm256_unpackhi_epi16(x0, x1), wp),
-                        );
-                    }
-                    p += 2;
-                }
-                if p < k {
-                    let w0 = arow[p];
-                    if w0 != 0 {
-                        let wp = _mm256_set1_epi32(pair_weights(w0, 0));
-                        let x0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-                            b.as_ptr().add(p * n + j) as *const __m128i
-                        ));
-                        m0 = _mm256_add_epi32(
-                            m0,
-                            _mm256_madd_epi16(_mm256_unpacklo_epi16(x0, x0), wp),
-                        );
-                        m1 = _mm256_add_epi32(
-                            m1,
-                            _mm256_madd_epi16(_mm256_unpackhi_epi16(x0, x0), wp),
-                        );
-                    }
-                }
-                _mm256_storeu_si256(
-                    cp as *mut __m256i,
-                    _mm256_permute2x128_si256::<0x20>(m0, m1),
-                );
-                _mm256_storeu_si256(
-                    (cp as *mut __m256i).add(1),
-                    _mm256_permute2x128_si256::<0x31>(m0, m1),
-                );
-            }
+                matmul_block16_avx2pair(arow, b.as_ptr().add(j), n, crow.as_mut_ptr().add(j))
+            };
         }
-        // Column tail: plain wrapping scalar (any order is bit-identical).
-        for j in nb..n {
-            let mut acc = crow[j];
-            for (p, &w) in arow.iter().enumerate() {
-                acc = acc.wrapping_add(i32::from(w) * i32::from(b[p * n + j]));
-            }
-            crow[j] = acc;
+    }
+    let tail = n - nb;
+    if tail == 0 {
+        return;
+    }
+    // The panel covers `KC` rows of `b` at a time (a stack buffer, no
+    // allocation); `c ⊞= a·b` splits over row chunks exactly.
+    const KC: usize = 64;
+    let mut panel = [0i8; KC * 16];
+    let mut stage = [0i32; 16];
+    for p0 in (0..k).step_by(KC) {
+        let kc = KC.min(k - p0);
+        for (p, prow) in panel[..kc * 16].chunks_exact_mut(16).enumerate() {
+            let row = (p0 + p) * n;
+            prow[..tail].copy_from_slice(&b[row + nb..row + n]);
+            prow[tail..].fill(0);
+        }
+        for i in 0..m {
+            let crow = &mut c[i * n + nb..i * n + n];
+            stage[..tail].copy_from_slice(crow);
+            let arow = &a[i * k + p0..i * k + p0 + kc];
+            // SAFETY: `stage` holds 16 i32s and each of the `kc` panel
+            // rows 16 bytes.
+            unsafe { matmul_block16_avx2pair(arow, panel.as_ptr(), 16, stage.as_mut_ptr()) };
+            crow.copy_from_slice(&stage[..tail]);
         }
     }
 }
@@ -626,8 +669,8 @@ unsafe fn dw_block16_avx2pair(
 /// only the two border columns ever take the guarded scalar path.
 /// Bit-identity is the same exact-pairs argument: every output cell is
 /// the same wrapping-i32 tap sum no matter which block computes it.
-/// Planes too narrow for a block (interior < 16 columns) fall back to
-/// [`dw_cell_scalar`] for every cell, shared with every other backend.
+/// Planes too narrow for a block (interior < 16 columns) stage each
+/// row zero-padded instead ([`dw_row_narrow_avx2pair`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn dw_plane_rows_avx2pair(
@@ -674,11 +717,60 @@ unsafe fn dw_plane_rows_avx2pair(
             orow[0] = dw_cell_scalar(x, w9, h, wd, y, 0);
             orow[wd - 1] = dw_cell_scalar(x, w9, h, wd, y, wd - 1);
         } else {
-            for (xc, cell) in orow.iter_mut().enumerate() {
-                *cell = dw_cell_scalar(x, w9, h, wd, y, xc);
-            }
+            dw_row_narrow_avx2pair(x, w9, orow, h, wd, y);
         }
     }
+}
+
+/// One output row of a plane too narrow for [`dw_block16_avx2pair`]'s
+/// in-place blocks (`wd ≤ 17`): the three input rows are staged
+/// zero-padded — plane column `c` at staged column `c + 1`, rows
+/// outside the plane all zero — so every output column, borders
+/// included, is an interior cell of the staged rows. One block covers
+/// columns `0..16`; a second, overlapping one (identical bits, see
+/// [`dw_plane_rows_avx2pair`]) covers column 16 when `wd == 17`. The
+/// zero taps add exact zeros, so each cell is the same wrapping-i32 tap
+/// sum the guarded scalar cell computes.
+///
+/// # Safety
+///
+/// Requires AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn dw_row_narrow_avx2pair(
+    x: &[i8],
+    w9: &[i8],
+    orow: &mut [i32],
+    h: usize,
+    wd: usize,
+    y: usize,
+) {
+    const WP: usize = 20;
+    assert!(wd <= 17, "narrow-plane path takes at most 17 columns");
+    let mut rows = [0i8; 3 * WP];
+    for ky in 0..3 {
+        let iy = y + ky;
+        if (1..=h).contains(&iy) {
+            rows[ky * WP + 1..ky * WP + 1 + wd].copy_from_slice(&x[(iy - 1) * wd..iy * wd]);
+        }
+    }
+    let mut taps = [(0i8, 0usize); 9];
+    for (t, tap) in taps.iter_mut().enumerate() {
+        *tap = (w9[t], (t / 3) * WP + t % 3);
+    }
+    let mut stage = [0i32; WP];
+    // SAFETY: AVX2 is the caller's guarantee. The staged rows form a
+    // 3-row, WP-column plane and `stage` one full WP-column output row,
+    // and both blocks start at xs ∈ {1, wd - 15} ⊆ [1, 2] (wd ≤ 17,
+    // asserted), so 1 <= xs and xs + 15 <= WP - 2 as
+    // `dw_block16_avx2pair` requires.
+    unsafe {
+        dw_block16_avx2pair(&rows, &taps, 9, stage.as_mut_ptr(), 1);
+        if wd > 16 {
+            dw_block16_avx2pair(&rows, &taps, 9, stage.as_mut_ptr(), wd - 15);
+        }
+    }
+    orow.copy_from_slice(&stage[1..1 + wd]);
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -750,7 +842,7 @@ pub fn dwconv3_i8(x: &[i8], w: &[i8], out: &mut [i32], n: usize, c: usize, h: us
 }
 
 // ---------------------------------------------------------------------------
-// Quantize / requantize / dequantize (scalar, shared by all backends)
+// Quantize / requantize / dequantize
 // ---------------------------------------------------------------------------
 
 /// Quantizes `src` to symmetric `i8`: `q = round(v / scale)` clamped to
@@ -760,6 +852,10 @@ pub fn dwconv3_i8(x: &[i8], w: &[i8], out: &mut [i32], n: usize, c: usize, h: us
 /// `quant.<op>.saturated` counter). Non-finite inputs quantize to 0 and
 /// count as saturated.
 ///
+/// The AVX2 backends replay the scalar sequence lane-wise over
+/// 32-element blocks (see the module docs); the output bits and the
+/// count are the same on every backend.
+///
 /// # Panics
 ///
 /// Panics when `dst` is shorter than `src` or `scale` is not a
@@ -767,6 +863,18 @@ pub fn dwconv3_i8(x: &[i8], w: &[i8], out: &mut [i32], n: usize, c: usize, h: us
 pub fn quantize_i8(src: &[f32], scale: f32, dst: &mut [i8]) -> u64 {
     assert!(scale.is_finite() && scale > 0.0, "scale must be positive");
     assert!(dst.len() >= src.len(), "dst too short");
+    #[cfg(target_arch = "x86_64")]
+    if matches!(simd::active(), Backend::Avx2 | Backend::Avx2Pair) {
+        // SAFETY: the Avx2 backends are only ever active after runtime
+        // `avx2` detection succeeded (`simd::active`/`simd::force`
+        // enforce it).
+        return unsafe { quantize_i8_avx2(src, scale, dst) };
+    }
+    quantize_i8_scalar(src, scale, dst)
+}
+
+/// The scalar oracle of [`quantize_i8`] and its `Scalar`/`Sse2` body.
+fn quantize_i8_scalar(src: &[f32], scale: f32, dst: &mut [i8]) -> u64 {
     let mut saturated = 0u64;
     for (d, &v) in dst.iter_mut().zip(src) {
         let q = (v / scale).round();
@@ -792,10 +900,12 @@ pub fn quantize_i8(src: &[f32], scale: f32, dst: &mut [i8]) -> u64 {
 /// ```
 ///
 /// `mult` is `in_scale · w_scale` for the producing channel; `bias` is
-/// the (BN-folded) f32 bias. Every operation is a scalar f32 op in
-/// element order on every backend — the deterministic epilogue of the
-/// integer kernels. Returns the clamp count at the `i8` step (the
-/// activation clamp is semantics, not saturation).
+/// the (BN-folded) f32 bias. Every element runs the same f32 ops in
+/// the same order on every backend — scalar in element order on
+/// `Scalar`/`Sse2`, lane-wise over 32-element blocks on the AVX2
+/// backends (see the module docs) — so the output bits and the count
+/// never depend on the backend. Returns the clamp count at the `i8`
+/// step (the activation clamp is semantics, not saturation).
 ///
 /// # Panics
 ///
@@ -814,6 +924,25 @@ pub fn requant_i8(
         "out_scale must be positive"
     );
     assert!(dst.len() >= acc.len(), "dst too short");
+    #[cfg(target_arch = "x86_64")]
+    if matches!(simd::active(), Backend::Avx2 | Backend::Avx2Pair) {
+        // SAFETY: the Avx2 backends are only ever active after runtime
+        // `avx2` detection succeeded (`simd::active`/`simd::force`
+        // enforce it).
+        return unsafe { requant_i8_avx2(acc, mult, bias, clamp, out_scale, dst) };
+    }
+    requant_i8_scalar(acc, mult, bias, clamp, out_scale, dst)
+}
+
+/// The scalar oracle of [`requant_i8`] and its `Scalar`/`Sse2` body.
+fn requant_i8_scalar(
+    acc: &[i32],
+    mult: f32,
+    bias: f32,
+    clamp: Option<(f32, f32)>,
+    out_scale: f32,
+    dst: &mut [i8],
+) -> u64 {
     let mut saturated = 0u64;
     for (d, &a) in dst.iter_mut().zip(acc) {
         let mut v = (a as f32) * mult + bias;
@@ -828,6 +957,185 @@ pub fn requant_i8(
         *d = q.clamp(-(QMAX as f32), QMAX as f32) as i8;
     }
     saturated
+}
+
+/// `f32::round` (ties away from zero) on eight lanes, exactly: `t` is
+/// `x` truncated toward zero, and `x − t` is exact (the fractional part
+/// of a float is representable), so `|x − t| ≥ 0.5` picks precisely the
+/// lanes that round away, where `t ± 1` is exact too (`|t| < 2²³`
+/// there). Infinities keep `t` (`∞ − ∞` is NaN, which compares false),
+/// NaN stays NaN, and `±0` keeps its sign.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn round_ties_away_ps(x: std::arch::x86_64::__m256) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::*;
+    let sign = _mm256_set1_ps(-0.0);
+    let t = _mm256_round_ps::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(x);
+    let frac = _mm256_andnot_ps(sign, _mm256_sub_ps(x, t));
+    let away = _mm256_cmp_ps::<_CMP_GE_OQ>(frac, _mm256_set1_ps(0.5));
+    let step = _mm256_or_ps(_mm256_set1_ps(1.0), _mm256_and_ps(sign, x)); // copysign(1, x)
+    _mm256_blendv_ps(t, _mm256_add_ps(t, step), away)
+}
+
+/// The `i8` step shared by the vector quantize and requant bodies, on
+/// eight pre-rounding values `x` (`v / scale`): round ties away, zero
+/// NaN lanes (and ±∞ lanes when `QUANTIZE` — the scalar `as i8` and
+/// `is_finite` rules), clamp to `±QMAX`, truncate to `i32`. Returns the
+/// `i32` lanes and the movemask of the saturated lanes, by each scalar
+/// body's own saturation predicate.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn to_i8_lanes<const QUANTIZE: bool>(
+    x: std::arch::x86_64::__m256,
+) -> (std::arch::x86_64::__m256i, u32) {
+    use std::arch::x86_64::*;
+    let qmax = _mm256_set1_ps(QMAX as f32);
+    let q = round_ties_away_ps(x);
+    let mag = _mm256_andnot_ps(_mm256_set1_ps(-0.0), q);
+    let (keep, sat) = if QUANTIZE {
+        // `!q.is_finite() || |q| > QMAX` ⇔ `!(|q| <= QMAX)`; keep finite.
+        (
+            _mm256_cmp_ps::<_CMP_LT_OQ>(mag, _mm256_set1_ps(f32::INFINITY)),
+            _mm256_cmp_ps::<_CMP_NLE_UQ>(mag, qmax),
+        )
+    } else {
+        // `|q| > QMAX` (false for NaN); NaN casts to 0, ±∞ clamps.
+        (
+            _mm256_cmp_ps::<_CMP_ORD_Q>(q, q),
+            _mm256_cmp_ps::<_CMP_GT_OQ>(mag, qmax),
+        )
+    };
+    let q = _mm256_and_ps(q, keep);
+    let q = _mm256_min_ps(_mm256_max_ps(q, _mm256_set1_ps(-(QMAX as f32))), qmax);
+    (_mm256_cvttps_epi32(q), _mm256_movemask_ps(sat) as u32)
+}
+
+/// Packs four registers of in-range (`±QMAX`) `i32` lanes — elements
+/// `0..8`, `8..16`, `16..24`, `24..32` — into 32 `i8`s in element
+/// order and stores them at `dst`. The two saturating packs interleave
+/// 128-bit halves; one dword permute restores the order.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn store_i8x32(dst: *mut i8, v: [std::arch::x86_64::__m256i; 4]) {
+    use std::arch::x86_64::*;
+    let ab = _mm256_packs_epi32(v[0], v[1]);
+    let cd = _mm256_packs_epi32(v[2], v[3]);
+    let abcd = _mm256_packs_epi16(ab, cd);
+    let order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+    _mm256_storeu_si256(
+        dst as *mut __m256i,
+        _mm256_permutevar8x32_epi32(abcd, order),
+    );
+}
+
+/// Runs `block` — one 32-element vector block reading `src` and
+/// writing `dst`, returning its saturation movemask — over every full
+/// block of a `len`-element epilogue, then over the remainder staged
+/// through zero-padded 32-element buffers. Lanes are independent, so
+/// the padding lanes only touch staging slots that are never copied
+/// back, and their saturation bits are masked off: every length runs
+/// on the vector path.
+///
+/// # Safety
+///
+/// `block` must be safe to call on any 32-element `src`/`dst` pair.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn for_each_block32<T: Copy + Default>(
+    src: &[T],
+    dst: &mut [i8],
+    block: impl Fn(*const T, *mut i8) -> u32,
+) -> u64 {
+    let nq = qvector_cover(src.len());
+    let mut saturated = 0u64;
+    for j in (0..nq).step_by(QLANES) {
+        // SAFETY: j + QLANES <= nq <= src.len() <= dst.len().
+        let m = unsafe { block(src.as_ptr().add(j), dst.as_mut_ptr().add(j)) };
+        saturated += u64::from(m.count_ones());
+    }
+    let tail = src.len() - nq;
+    if tail > 0 {
+        let mut s = [T::default(); QLANES];
+        let mut d = [0i8; QLANES];
+        s[..tail].copy_from_slice(&src[nq..]);
+        let m = block(s.as_ptr(), d.as_mut_ptr()) & ((1u32 << tail) - 1);
+        dst[nq..src.len()].copy_from_slice(&d[..tail]);
+        saturated += u64::from(m.count_ones());
+    }
+    saturated
+}
+
+/// The AVX2 body of [`quantize_i8`]: per lane `div`, then the shared
+/// [`to_i8_lanes`] step — the scalar oracle's sequence, element-wise.
+///
+/// # Safety
+///
+/// Requires AVX2; `dst` must be at least as long as `src`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn quantize_i8_avx2(src: &[f32], scale: f32, dst: &mut [i8]) -> u64 {
+    use std::arch::x86_64::*;
+    let vscale = _mm256_set1_ps(scale);
+    for_each_block32(src, dst, |s, d| {
+        let mut lanes = [_mm256_setzero_si256(); 4];
+        let mut sat = 0u32;
+        for (r, lane) in lanes.iter_mut().enumerate() {
+            let v = _mm256_loadu_ps(s.add(8 * r));
+            let (q, m) = to_i8_lanes::<true>(_mm256_div_ps(v, vscale));
+            *lane = q;
+            sat |= m << (8 * r);
+        }
+        store_i8x32(d, lanes);
+        sat
+    })
+}
+
+/// The AVX2 body of [`requant_i8`]: per lane `cvtepi32_ps`, `mul`,
+/// `add` (never fused), the activation clamp as `max_ps(v, lo)` then
+/// `min_ps(v, hi)` — x86 `max`/`min` return the second operand unless
+/// the first compares greater/less, which is exactly the scalar
+/// `if v > lo { v } else { lo }`, NaN included — then `div` and the
+/// shared [`to_i8_lanes`] step.
+///
+/// # Safety
+///
+/// Requires AVX2; `dst` must be at least as long as `acc`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn requant_i8_avx2(
+    acc: &[i32],
+    mult: f32,
+    bias: f32,
+    clamp: Option<(f32, f32)>,
+    out_scale: f32,
+    dst: &mut [i8],
+) -> u64 {
+    use std::arch::x86_64::*;
+    let (vmult, vbias, vscale) = (
+        _mm256_set1_ps(mult),
+        _mm256_set1_ps(bias),
+        _mm256_set1_ps(out_scale),
+    );
+    let window = clamp.map(|(lo, hi)| (_mm256_set1_ps(lo), _mm256_set1_ps(hi)));
+    for_each_block32(acc, dst, |a, d| {
+        let mut lanes = [_mm256_setzero_si256(); 4];
+        let mut sat = 0u32;
+        for (r, lane) in lanes.iter_mut().enumerate() {
+            let a = _mm256_loadu_si256(a.add(8 * r) as *const __m256i);
+            let mut v = _mm256_add_ps(_mm256_mul_ps(_mm256_cvtepi32_ps(a), vmult), vbias);
+            if let Some((lo, hi)) = window {
+                v = _mm256_min_ps(_mm256_max_ps(v, lo), hi);
+            }
+            let (q, m) = to_i8_lanes::<false>(_mm256_div_ps(v, vscale));
+            *lane = q;
+            sat |= m << (8 * r);
+        }
+        store_i8x32(d, lanes);
+        sat
+    })
 }
 
 /// Dequantizes raw `i32` accumulators straight to f32:
@@ -854,6 +1162,11 @@ pub fn dequant_f32(acc: &[i32], mult: f32, bias: f32, dst: &mut [f32]) {
 /// `q ↦ q·scale` is monotone, so the integer max picks the same winner
 /// the f32 max would.
 ///
+/// The SkyNet window, `k == 2`, runs one plane per task on the
+/// [`parallel`](crate::parallel) pool; integer max is exact and
+/// order-free, so the result is the same as the serial loop other `k`
+/// take.
+///
 /// # Panics
 ///
 /// Panics when `k == 0`, the spatial extents are not divisible by `k`,
@@ -867,6 +1180,25 @@ pub fn maxpool2d_i8(src: &[i8], n: usize, c: usize, h: usize, w: usize, k: usize
     assert!(src.len() >= n * c * h * w, "input too short");
     let (oh, ow) = (h / k, w / k);
     let mut out = vec![0i8; n * c * oh * ow];
+    if out.is_empty() {
+        return out;
+    }
+    if k == 2 {
+        par_chunks_mut(&mut out, oh * ow, |pi, o| {
+            let plane = &src[pi * h * w..(pi + 1) * h * w];
+            for (orow, rows) in o.chunks_exact_mut(ow).zip(plane.chunks_exact(2 * w)) {
+                let (r0, r1) = rows.split_at(w);
+                for ((d, a), b) in orow
+                    .iter_mut()
+                    .zip(r0.chunks_exact(2))
+                    .zip(r1.chunks_exact(2))
+                {
+                    *d = a[0].max(a[1]).max(b[0].max(b[1]));
+                }
+            }
+        });
+        return out;
+    }
     for pi in 0..n * c {
         let base = pi * h * w;
         let obase = pi * oh * ow;

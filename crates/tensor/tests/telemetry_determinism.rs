@@ -160,11 +160,14 @@ fn disabled_telemetry_records_nothing() {
 }
 
 /// Pins [`telemetry::aggregate`]'s self-time attribution on the span
-/// shape the fused executor produces: `fused.bundleN` wrapping
-/// `tensor.fused_fwd` wrapping `tensor.matmul`. Each nanosecond must be
-/// charged to exactly one op (the innermost enclosing span) — a fused
-/// parent must **not** also be billed for its children, and self times
-/// must partition the traced wall time exactly.
+/// shapes the fused executor and the INT8 engine produce:
+/// `fused.bundleN` wrapping `tensor.fused_fwd` wrapping `tensor.matmul`,
+/// and `skynet.int8.forward` wrapping its per-stage spans (quantize,
+/// fused bundles, pool, reorg, concat, the head's matmul and dequant).
+/// Each nanosecond must be charged to exactly one op (the innermost
+/// enclosing span) — a parent must **not** also be billed for its
+/// children, and self times must partition the traced wall time
+/// exactly.
 #[test]
 fn aggregate_does_not_double_count_fused_nesting() {
     let rec = |name: &'static str, thread: u32, seq: u64, start_ns: u64, dur_ns: u64| {
@@ -211,4 +214,44 @@ fn aggregate_does_not_double_count_fused_nesting() {
     let bundle1 = stats.iter().find(|s| s.name == "fused.bundle1").unwrap();
     assert_eq!(bundle1.calls, 2);
     assert_eq!(bundle1.total_ns, 200);
+
+    // Thread 2: one INT8 forward over [0, 100). Every stage span is a
+    // direct child of `skynet.int8.forward`; the head's matmul and
+    // dequant are siblings, and an unfused bundle's `tensor.qrequant`
+    // follows its `tensor.qdwconv3` without nesting in it.
+    let int8 = vec![
+        rec("tensor.qquantize", 2, 1, 2, 8),
+        rec("tensor.qfused_fwd", 2, 2, 10, 30),
+        rec("tensor.qpool", 2, 3, 41, 4),
+        rec("tensor.qreorg", 2, 4, 46, 3),
+        rec("tensor.qdwconv3", 2, 5, 50, 10),
+        rec("tensor.qrequant", 2, 6, 60, 5),
+        rec("tensor.qconcat", 2, 7, 66, 3),
+        rec("tensor.qmatmul", 2, 8, 70, 6),
+        rec("tensor.qdequant", 2, 9, 80, 9),
+        rec("skynet.int8.forward", 2, 10, 0, 100),
+    ];
+    let stats = telemetry::aggregate(&int8);
+    let self_ns = |name: &str| {
+        stats
+            .iter()
+            .find(|s| s.name == name)
+            .unwrap_or_else(|| panic!("missing op {name}"))
+            .self_ns
+    };
+    let stages: u64 = 8 + 30 + 4 + 3 + 10 + 5 + 6 + 3 + 9;
+    assert_eq!(self_ns("skynet.int8.forward"), 100 - stages);
+    for (name, dur) in [
+        ("tensor.qquantize", 8),
+        ("tensor.qfused_fwd", 30),
+        ("tensor.qpool", 4),
+        ("tensor.qreorg", 3),
+        ("tensor.qconcat", 3),
+        ("tensor.qrequant", 5),
+        ("tensor.qdequant", 9),
+    ] {
+        assert_eq!(self_ns(name), dur, "{name}");
+    }
+    let total_self: u64 = stats.iter().map(|s| s.self_ns).sum();
+    assert_eq!(total_self, 100, "stage spans counted once");
 }
