@@ -25,7 +25,7 @@
 //! executable-INT8 kernels (`qint::dwconv3_i8`, `qint::matmul_i8`)
 //! against their f32 counterparts on the same shapes — with every
 //! backend's raw i32 accumulators asserted **CRC-identical** (the
-//! pairwise-`madd` tier vs the scalar oracle, bitwise) — and the
+//! AVX2 pairwise-`madd` kernels vs the scalar oracle, bitwise) — and the
 //! **fused lane** times `fused::fused_bundle_forward` against the
 //! unfused DW→BN→Act→PW→BN→Act layer sequence with the two paths
 //! asserted bit-identical per backend.
@@ -179,7 +179,7 @@ fn hash_f32(slices: &[&[f32]]) -> u32 {
 }
 
 /// CRC-32 over raw i32 accumulators — the integer lane's bitwise
-/// cross-backend witness (pairing tier vs scalar oracle included).
+/// cross-backend witness (AVX2 pairing kernels vs scalar oracle).
 fn hash_i32(s: &[i32]) -> u32 {
     let mut h = Crc32::new();
     for v in s {
@@ -233,8 +233,8 @@ fn main() {
     // the same balanced-tree kernel replayed one lane at a time, and
     // rustc auto-vectorizes it to the 4-wide SSE2 that baseline x86-64
     // guarantees — the denominator is already vector code. On top of
-    // that the determinism contract forbids FMA (scalar and SSE2 can't
-    // reproduce its single rounding), so the AVX2 kernel's 18 FP ops
+    // that the determinism contract forbids FMA (the scalar oracle
+    // cannot reproduce a fused rounding), so the AVX2 kernel's 18 FP ops
     // per 8 pixels are port-bound at exactly 2.0x the 4-wide issue
     // rate; borders, short rows (20x40 maps) and memory-bound large
     // maps dilute that realized ~1.9x interior gain to the ~1.4x
@@ -242,7 +242,7 @@ fn main() {
     let dw_floor = budget.pick(1.02, 1.25);
     let mm_floor = budget.pick(1.02, 1.5);
     // INT8-vs-f32 aggregate floor on the widest backend. The full floor
-    // is the PR-10 acceptance criterion for the pairwise-madd tier on
+    // is the acceptance criterion for the pairwise-madd AVX2 kernels on
     // the AVX2 dev machine; the fast floor only proves the integer lane
     // still beats f32 at all on whatever CI hands us.
     let q_floor = budget.pick(1.05, 1.8);
@@ -279,8 +279,8 @@ fn main() {
          rustc auto-vectorizes that loop to the 4-wide SSE2 that \
          baseline x86-64 guarantees — so the denominator is itself \
          vector code, not naive scalar. The determinism contract also \
-         forbids FMA (its single rounding is unreproducible on scalar \
-         and SSE2), which caps the 8-wide AVX2 kernel at a port-bound \
+         forbids FMA (the scalar oracle cannot reproduce a fused \
+         rounding), which caps the 8-wide AVX2 kernel at a port-bound \
          2.0x over that baseline on interior rows; borders, short rows \
          and memory-bound large maps dilute the aggregate further.\n",
     );
@@ -486,7 +486,7 @@ fn main() {
          the quantize/requantize epilogues are costed separately by \
          `quant_sweep`, so these ratios isolate the compute-kernel win. \
          The crc column hashes the i32 accumulators and is asserted equal \
-         on every backend — the pairwise-`madd` tier (`avx2pair`) must be \
+         on every backend — the pairwise-`madd` AVX2 kernels must be \
          **bitwise** identical to the scalar oracle, not merely close.\n"
     );
     let _ = writeln!(

@@ -24,9 +24,9 @@
 //! The **end-to-end speed gate** times the fused INT8 engine forward
 //! against the fused f32 forward of the same trained model on the same
 //! validation frames, interleaving the reps and comparing medians. At
-//! the full budget on the `avx2pair` integer tier (what `auto` picks
-//! wherever AVX2 exists) INT8 must be no slower than f32 (break-even);
-//! at `SKYNET_BENCH_BUDGET=fast`, or under another backend, the ratio is
+//! the full budget on the `avx2` backend (what `auto` picks wherever
+//! AVX2 exists) INT8 must be no slower than f32 (break-even); at
+//! `SKYNET_BENCH_BUDGET=fast`, or under the scalar oracle, the ratio is
 //! only reported.
 //!
 //! The report is archived under `bench_results/quant_sweep.md`.
@@ -313,11 +313,10 @@ fn main() {
          of {} frames (median of {speed_reps} interleaved reps): INT8 {speedup:.2}x",
         speed_refs.len()
     );
-    // The gate binds the integer tier `auto` picks wherever AVX2
-    // exists. The scalar oracle and the widening `sse2`/`avx2` tiers
-    // lose to f32 (`kernel_bench`), so under them the ratio is only
+    // The gate binds the backend `auto` picks wherever AVX2 exists.
+    // The scalar oracle loses to f32, so under it the ratio is only
     // reported.
-    if budget == Budget::Full && simd::active() == simd::Backend::Avx2Pair {
+    if budget == Budget::Full && simd::active() == simd::Backend::Avx2 {
         assert!(
             speedup >= 1.0,
             "fused INT8 forward ({int8_ms:.3} ms) is slower than fused f32 ({f32_ms:.3} ms)"
@@ -442,8 +441,8 @@ fn main() {
         report,
         "Median ms per forward of {} validation frames, fused INT8 engine vs fused \
          f32 backbone, {speed_reps} interleaved reps, SIMD backend `{}`. At the full \
-         budget on `avx2pair` INT8 is asserted no slower than f32; at the fast budget \
-         or under another backend the ratio is only reported.\n",
+         budget on `avx2` INT8 is asserted no slower than f32; at the fast budget \
+         or under the scalar oracle the ratio is only reported.\n",
         speed_refs.len(),
         simd::active().name()
     );

@@ -56,7 +56,7 @@ use crate::{scratch, telemetry};
 use crate::{Result, Shape, Tensor, TensorError};
 
 #[cfg(target_arch = "x86_64")]
-use crate::simd::{Avx2V, Sse2V};
+use crate::simd::Avx2V;
 
 fn check(input: Shape, weight: Shape, geo: ConvGeometry) -> Result<()> {
     if weight.n != input.c || weight.c != 1 || weight.h != geo.kernel || weight.w != geo.kernel {
@@ -364,17 +364,13 @@ fn dw3_fwd_interior_dispatch<const S: usize>(
             dw3_fwd_interior_v::<ScalarV, S>(chan_out, chan_in, filt, bv, is, os, xr, yr, p)
         }
         #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => {
-            dw3_fwd_interior_v::<Sse2V, S>(chan_out, chan_in, filt, bv, is, os, xr, yr, p)
-        }
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the Avx2 backends are only ever active after runtime
+        // SAFETY: the Avx2 backend is only ever active after runtime
         // detection succeeded (`simd::active`/`simd::force` enforce it).
-        Backend::Avx2 | Backend::Avx2Pair => unsafe {
+        Backend::Avx2 => unsafe {
             dw3_fwd_interior_avx2::<S>(chan_out, chan_in, filt, bv, is, os, xr, yr, p)
         },
         #[cfg(not(target_arch = "x86_64"))]
-        _ => unreachable!("vector backends are never active off x86_64"),
+        Backend::Avx2 => unreachable!("AVX2 is never active off x86_64"),
     }
 }
 
@@ -633,17 +629,13 @@ pub(crate) fn dw3_bnact_band(
                     dw3_bnact_band_v::<ScalarV, $S>(dst, chan_in, filt, bv, is, os, p, yr, ep)
                 }
                 #[cfg(target_arch = "x86_64")]
-                Backend::Sse2 => {
-                    dw3_bnact_band_v::<Sse2V, $S>(dst, chan_in, filt, bv, is, os, p, yr, ep)
-                }
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: the Avx2 backends are only ever active after
+                // SAFETY: the Avx2 backend is only ever active after
                 // runtime detection succeeded.
-                Backend::Avx2 | Backend::Avx2Pair => unsafe {
+                Backend::Avx2 => unsafe {
                     dw3_bnact_band_avx2::<$S>(dst, chan_in, filt, bv, is, os, p, yr, ep)
                 },
                 #[cfg(not(target_arch = "x86_64"))]
-                _ => unreachable!("vector backends are never active off x86_64"),
+                Backend::Avx2 => unreachable!("AVX2 is never active off x86_64"),
             }
         };
     }
@@ -1358,15 +1350,13 @@ fn dw3_bwd_dispatch<const S: usize>(
             dw3_plane_bwd_v::<ScalarV, S>(gi_c, gw_c, gb, go, chan_in, filt, is, os, p)
         }
         #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => dw3_plane_bwd_v::<Sse2V, S>(gi_c, gw_c, gb, go, chan_in, filt, is, os, p),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the Avx2 backends are only ever active after runtime
+        // SAFETY: the Avx2 backend is only ever active after runtime
         // detection succeeded (`simd::active`/`simd::force` enforce it).
-        Backend::Avx2 | Backend::Avx2Pair => unsafe {
+        Backend::Avx2 => unsafe {
             dw3_plane_bwd_avx2::<S>(gi_c, gw_c, gb, go, chan_in, filt, is, os, p)
         },
         #[cfg(not(target_arch = "x86_64"))]
-        _ => unreachable!("vector backends are never active off x86_64"),
+        Backend::Avx2 => unreachable!("AVX2 is never active off x86_64"),
     }
 }
 
@@ -1673,16 +1663,6 @@ mod tests {
             eprintln!("-- row width {w} x {reps} reps --");
             time("scalar", reps, || {
                 dw3_fwd_row::<1>(std::hint::black_box(&mut out), &src, &src, &src, &f, 0.5);
-            });
-            time("sse2v ", reps, || {
-                dw3_fwd_row_v::<Sse2V, 1>(
-                    std::hint::black_box(&mut out),
-                    &src,
-                    &src,
-                    &src,
-                    &f,
-                    0.5,
-                );
             });
             time("avx2v ", reps, || unsafe {
                 dw3_fwd_row_avx2::<1>(std::hint::black_box(&mut out), &src, &src, &src, &f, 0.5);

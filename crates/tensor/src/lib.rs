@@ -29,14 +29,14 @@
 //! The [`qint`] module adds the executable INT8 twin of the hot
 //! kernels: `i8`×`i8`→`i32` matmul / point-wise / 3×3 depth-wise
 //! convolutions on 32-lane integer SIMD (same `SKYNET_SIMD` dispatch,
-//! structurally bit-identical across backends), plus the scalar
+//! structurally bit-identical across backends), plus the
 //! quantize/requantize epilogues (see `QUANTIZATION.md` at the repo
 //! root).
 //!
 //! Five infrastructure modules back the kernels: [`parallel`], the
 //! deterministic batch-parallel execution engine (bit-identical results
 //! for any `SKYNET_THREADS`); [`simd`], the fixed-width 8-lane vector
-//! abstraction with runtime-dispatched AVX2/SSE2/scalar backends that
+//! abstraction with runtime-dispatched AVX2 and scalar backends that
 //! are bit-identical to each other (`SKYNET_SIMD` forces one, extending
 //! the determinism guarantee across ISAs); [`telemetry`], the
 //! process-wide metrics registry + scoped-span tracer that every hot

@@ -16,7 +16,7 @@ use crate::simd::{self, Backend, F32x8, ScalarV, LANES};
 use crate::{scratch, telemetry};
 
 #[cfg(target_arch = "x86_64")]
-use crate::simd::{Avx2V, Sse2V};
+use crate::simd::Avx2V;
 
 /// Tile edge used for cache blocking. 64 f32 = 256 B per row tile, which
 /// keeps three tiles comfortably inside L1 for the sizes we use.
@@ -147,13 +147,11 @@ fn matmul_acc_rows(be: Backend, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k
     match be {
         Backend::Scalar => matmul_acc_rows_g::<ScalarV>(a, b, c, m, k, n),
         #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => matmul_acc_rows_g::<Sse2V>(a, b, c, m, k, n),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the Avx2 backends are only ever active after runtime
+        // SAFETY: the Avx2 backend is only ever active after runtime
         // detection succeeded (`simd::active`/`simd::force` enforce it).
-        Backend::Avx2 | Backend::Avx2Pair => unsafe { matmul_acc_rows_avx2(a, b, c, m, k, n) },
+        Backend::Avx2 => unsafe { matmul_acc_rows_avx2(a, b, c, m, k, n) },
         #[cfg(not(target_arch = "x86_64"))]
-        _ => unreachable!("vector backends are never active off x86_64"),
+        Backend::Avx2 => unreachable!("AVX2 is never active off x86_64"),
     }
 }
 
@@ -210,13 +208,11 @@ pub fn matmul_at_b_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, 
     match be {
         Backend::Scalar => at_b_g::<ScalarV>(a, b, c, m, k, n),
         #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => at_b_g::<Sse2V>(a, b, c, m, k, n),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the Avx2 backends are only ever active after runtime
+        // SAFETY: the Avx2 backend is only ever active after runtime
         // detection succeeded (`simd::active`/`simd::force` enforce it).
-        Backend::Avx2 | Backend::Avx2Pair => unsafe { at_b_avx2(a, b, c, m, k, n) },
+        Backend::Avx2 => unsafe { at_b_avx2(a, b, c, m, k, n) },
         #[cfg(not(target_arch = "x86_64"))]
-        _ => unreachable!("vector backends are never active off x86_64"),
+        Backend::Avx2 => unreachable!("AVX2 is never active off x86_64"),
     }
 }
 

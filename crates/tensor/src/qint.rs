@@ -1,24 +1,18 @@
-//! Quantized integer kernels: `i8`×`i8`→`i32` with a **32-lane
+//! Quantized integer kernels: `i8`×`i8`→`i32` with a **structural
 //! integer determinism contract**.
 //!
 //! This is the executable INT8 counterpart of the f32 kernel family
-//! ([`dwconv`](crate::dwconv), [`matmul`](crate::matmul)). The hot
-//! kernels are written once as generic functions over the [`QI8x32`]
-//! trait — the integer sibling of [`F32x8`](crate::simd::F32x8) — and
-//! instantiated for the same three backends under the same
-//! `SKYNET_SIMD` runtime dispatch ([`simd::active`]):
+//! ([`dwconv`](crate::dwconv), [`matmul`](crate::matmul)), under the
+//! same `SKYNET_SIMD` runtime dispatch ([`simd::active`]) and the same
+//! two backends:
 //!
-//! * [`ScalarQ`] — plain Rust replaying the 32-lane structure;
-//! * [`Sse2Q`] — `__m128i` lanes (sign-extend via unpack, exact
-//!   `mullo_epi16` products, `add_epi32` accumulate);
-//! * [`Avx2Q`] — `__m256i` lanes (`cvtepi8_epi16` / `cvtepi16_epi32`).
-//!
-//! A fourth tier, [`Backend::Avx2Pair`], does not go through the
-//! [`QI8x32`] axpy at all: it restructures the reduction so adjacent
-//! `i8×i8` products are summed **in pairs** by `vpmaddwd`
-//! (`_mm256_madd_epi16`) — one instruction per pair instead of the
-//! widen-multiply-widen-add chain — roughly doubling integer multiply
-//! throughput. See *Why pairing keeps bit-identity* below.
+//! * [`Backend::Scalar`] — plain loops: `c ⊞= w · x` one element at a
+//!   time, the oracle the `qint_equivalence` suite compares against;
+//! * [`Backend::Avx2`] — the reduction restructured so adjacent
+//!   `i8×i8` products are summed **in pairs** by `vpmaddwd`
+//!   (`_mm256_madd_epi16`), one instruction per pair instead of a
+//!   widen-multiply-widen-add chain. See *Why pairing keeps
+//!   bit-identity* below.
 //!
 //! ## Why pairing keeps bit-identity
 //!
@@ -34,33 +28,32 @@
 //! exact integers, and two's-complement wrapping `i32` addition is
 //! associative and commutative, so regrouping the same multiset of
 //! products into pairs cannot change a single accumulator bit — the
-//! pairing tier is bit-identical to [`ScalarQ`] by construction, and
-//! the `qint_equivalence` suite (which plants `±127` and `i8::MIN`
+//! AVX2 kernels are bit-identical to the scalar loops by construction,
+//! and the `qint_equivalence` suite (which plants `±127` and `i8::MIN`
 //! extremes) asserts it bitwise.
 //!
 //! ## Why the integer contract is *stronger* than the f32 one
 //!
-//! The f32 kernels are bit-identical across backends because every
-//! backend performs the same IEEE-754 operations in the same order —
+//! The f32 kernels are bit-identical across backends because both
+//! backends perform the same IEEE-754 operations in the same order —
 //! a carefully engineered property (no FMA, fixed reduction trees).
 //! The integer kernels get bit-identity **structurally**: an `i8`×`i8`
-//! product always fits exactly in `i16` (|−128·−128| = 16384 < 2¹⁵),
-//! its sign-extension to `i32` is exact, and two's-complement wrapping
-//! `i32` addition is associative *and* commutative. Any grouping of
-//! the same multiset of products — 32-wide blocks, scalar tails,
-//! different thread splits — produces the same accumulator bits. The
-//! `qint_equivalence` proptest suite still asserts it bitwise, wrap
-//! boundaries included.
+//! product is always exact (|−128·−128| = 16384 < 2¹⁵), and
+//! two's-complement wrapping `i32` addition is associative *and*
+//! commutative. Any grouping of the same multiset of products —
+//! register pairs, element loops, different thread splits — produces
+//! the same accumulator bits. The `qint_equivalence` proptest suite
+//! still asserts it bitwise, wrap boundaries included.
 //!
 //! ## Why the vector epilogues keep bit-identity
 //!
 //! Requantization (`i32` accumulator → `i8` activation, [`requant_i8`])
 //! and input quantization ([`quantize_i8`]) leave the integer domain,
 //! so they get bit-identity the f32 way: by replaying the exact
-//! sequence. The scalar loop is the oracle and the `Scalar`/`Sse2`
-//! body. The AVX2 backends run 32-element blocks whose every lane does
-//! the same IEEE-754 single-precision ops in the same order as one
-//! scalar iteration:
+//! sequence. The scalar loop is the oracle and the `Scalar` body. The
+//! AVX2 backend runs 32-element blocks whose every lane does the same
+//! IEEE-754 single-precision ops in the same order as one scalar
+//! iteration:
 //!
 //! * `cvtepi32_ps`, `mul`, `add` — never fused into an FMA;
 //! * the activation clamp as `max_ps(v, lo)` then `min_ps(v, hi)`,
@@ -77,17 +70,15 @@
 //! Elements are independent, so the block/tail split cannot matter: a
 //! remainder shorter than a block runs through the same vector block
 //! on zero-padded staging, with the padding lanes' saturation bits
-//! masked off. The `qint_equivalence` suite compares every backend to
-//! the scalar oracle bitwise — output and saturation count — on planted
-//! ties up to `±127.5`, `-0.0`, clamp edges, `i32` extremes, NaN and ±∞.
+//! masked off. The `qint_equivalence` suite compares both backends
+//! bitwise — output and saturation count — on planted ties up to
+//! `±127.5`, `-0.0`, clamp edges, `i32` extremes, NaN and ±∞.
 //!
 //! ## Lane width
 //!
 //! [`QLANES`] is 32: one AVX2 register holds 32 `i8`s, four times the
-//! 8-lane f32 ceiling — the bigger win the ROADMAP's quantization item
-//! promises. SSE2 processes the same 32-element block as two 16-byte
-//! halves and the scalar backend replays it as a 32-iteration loop;
-//! the block structure (not the register width) defines the contract.
+//! 8-lane f32 ceiling. It is the block of the vector epilogues and the
+//! unit of the `quant.<op>.lanes_used` counters on both backends.
 //!
 //! ## Telemetry
 //!
@@ -132,183 +123,24 @@ pub fn record_qlanes(op: &'static str, lanes: usize) {
 }
 
 // ---------------------------------------------------------------------------
-// The integer lane abstraction
-// ---------------------------------------------------------------------------
-
-/// A broadcast `i8` weight that can axpy one 32-element block:
-/// `acc[j] = acc[j] ⊞ w · x[j]` for `j in 0..32`, where `⊞` is
-/// two's-complement wrapping `i32` addition and `w · x[j]` is the exact
-/// integer product (always representable: |w·x| ≤ 16384).
-///
-/// Implementations must be **exact**: no saturating arithmetic inside
-/// the accumulation (saturation happens only at requantization), so
-/// every backend produces identical accumulator bits by the
-/// associativity of wrapping addition.
-pub trait QI8x32: Copy {
-    /// Broadcasts a weight into the backend's lane type.
-    fn splat(w: i8) -> Self;
-    /// `acc[j] = acc[j].wrapping_add(w * x[j])` for `j in 0..QLANES`.
-    ///
-    /// # Safety
-    ///
-    /// `acc` must be valid for reads and writes of `QLANES` consecutive
-    /// `i32`s and `x` for reads of `QLANES` consecutive `i8`s.
-    unsafe fn axpy(self, acc: *mut i32, x: *const i8);
-}
-
-/// The scalar backend: a 32-iteration loop replaying the lane
-/// structure literally. This is the oracle the `qint_equivalence`
-/// suite compares the ISA backends against (they must agree bitwise —
-/// and do, structurally; see the module docs).
-#[derive(Debug, Clone, Copy)]
-pub struct ScalarQ(i32);
-
-impl QI8x32 for ScalarQ {
-    #[inline(always)]
-    fn splat(w: i8) -> Self {
-        ScalarQ(i32::from(w))
-    }
-
-    #[inline(always)]
-    unsafe fn axpy(self, acc: *mut i32, x: *const i8) {
-        for j in 0..QLANES {
-            // SAFETY: caller guarantees QLANES readable/writable elements.
-            unsafe {
-                let p = acc.add(j);
-                *p = (*p).wrapping_add(self.0 * i32::from(*x.add(j)));
-            }
-        }
-    }
-}
-
-/// SSE2 backend: 16-byte halves, sign-extended to `i16` by interleaving
-/// with a compare-derived sign mask, multiplied exactly with
-/// `mullo_epi16`, widened to `i32` the same way, and accumulated with
-/// `add_epi32` (inherently wrapping). SSE2 is the x86_64 baseline.
-#[cfg(target_arch = "x86_64")]
-#[derive(Debug, Clone, Copy)]
-pub struct Sse2Q(std::arch::x86_64::__m128i);
-
-#[cfg(target_arch = "x86_64")]
-impl QI8x32 for Sse2Q {
-    #[inline(always)]
-    fn splat(w: i8) -> Self {
-        use std::arch::x86_64::*;
-        unsafe { Sse2Q(_mm_set1_epi16(i16::from(w))) }
-    }
-
-    #[inline(always)]
-    unsafe fn axpy(self, acc: *mut i32, x: *const i8) {
-        use std::arch::x86_64::*;
-        // SAFETY: caller guarantees QLANES readable x bytes and QLANES
-        // readable/writable acc elements; all loads/stores unaligned.
-        unsafe {
-            let zero = _mm_setzero_si128();
-            for half in 0..2 {
-                let xb = _mm_loadu_si128(x.add(16 * half) as *const __m128i);
-                // Sign-extend i8 → i16: interleave with the sign mask.
-                let xneg = _mm_cmpgt_epi8(zero, xb);
-                let xlo = _mm_unpacklo_epi8(xb, xneg); // elements 0..8 as i16
-                let xhi = _mm_unpackhi_epi8(xb, xneg); // elements 8..16
-                for (q, prod) in [
-                    (0usize, _mm_mullo_epi16(xlo, self.0)),
-                    (1usize, _mm_mullo_epi16(xhi, self.0)),
-                ] {
-                    // Exact: |i8·i8| ≤ 16384 fits i16, so mullo never
-                    // truncates. Widen to i32 by the same interleave.
-                    let pneg = _mm_cmpgt_epi16(zero, prod);
-                    let p0 = _mm_unpacklo_epi16(prod, pneg); // 4 i32
-                    let p1 = _mm_unpackhi_epi16(prod, pneg); // 4 i32
-                    let base = acc.add(16 * half + 8 * q) as *mut __m128i;
-                    _mm_storeu_si128(base, _mm_add_epi32(_mm_loadu_si128(base), p0));
-                    let base1 = base.add(1);
-                    _mm_storeu_si128(base1, _mm_add_epi32(_mm_loadu_si128(base1), p1));
-                }
-            }
-        }
-    }
-}
-
-/// AVX2 backend: `cvtepi8_epi16` → exact `mullo_epi16` →
-/// `cvtepi16_epi32` → `add_epi32`, 32 elements per call. Only
-/// instantiated behind `#[target_feature(enable = "avx2")]` wrappers
-/// after runtime detection, exactly like
-/// [`Avx2V`](crate::simd::Avx2V).
-#[cfg(target_arch = "x86_64")]
-#[derive(Debug, Clone, Copy)]
-pub struct Avx2Q(std::arch::x86_64::__m256i);
-
-#[cfg(target_arch = "x86_64")]
-impl QI8x32 for Avx2Q {
-    #[inline(always)]
-    fn splat(w: i8) -> Self {
-        use std::arch::x86_64::*;
-        unsafe { Avx2Q(_mm256_set1_epi16(i16::from(w))) }
-    }
-
-    #[inline(always)]
-    unsafe fn axpy(self, acc: *mut i32, x: *const i8) {
-        use std::arch::x86_64::*;
-        // SAFETY: caller guarantees QLANES readable x bytes and QLANES
-        // readable/writable acc elements; all loads/stores unaligned.
-        unsafe {
-            for half in 0..2 {
-                let xb = _mm_loadu_si128(x.add(16 * half) as *const __m128i);
-                let x16 = _mm256_cvtepi8_epi16(xb); // 16 i16, order kept
-                let prod = _mm256_mullo_epi16(x16, self.0); // exact (see Sse2Q)
-                let lo = _mm256_cvtepi16_epi32(_mm256_castsi256_si128(prod));
-                let hi = _mm256_cvtepi16_epi32(_mm256_extracti128_si256::<1>(prod));
-                let base = acc.add(16 * half) as *mut __m256i;
-                _mm256_storeu_si256(base, _mm256_add_epi32(_mm256_loadu_si256(base), lo));
-                let base1 = base.add(1);
-                _mm256_storeu_si256(base1, _mm256_add_epi32(_mm256_loadu_si256(base1), hi));
-            }
-        }
-    }
-}
-
-/// 32-lane axpy over a row: full blocks through the backend, wrapping
-/// scalar tail. Exact on every backend, so the split point never
-/// affects results.
-#[inline(always)]
-fn axpy_row_q<Q: QI8x32>(c: &mut [i32], w: i8, x: &[i8]) {
-    let n = c.len().min(x.len());
-    let nq = qvector_cover(n);
-    let wv = Q::splat(w);
-    for j in (0..nq).step_by(QLANES) {
-        // SAFETY: j + QLANES <= nq <= n bounds both slices.
-        unsafe { wv.axpy(c.as_mut_ptr().add(j), x.as_ptr().add(j)) }
-    }
-    let wi = i32::from(w);
-    for (cv, &xv) in c[nq..n].iter_mut().zip(&x[nq..n]) {
-        *cv = cv.wrapping_add(wi * i32::from(xv));
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Integer matmul (point-wise convolutions)
 // ---------------------------------------------------------------------------
 
-/// Serial row-stripe body of [`matmul_i8_acc`], generic over the
-/// backend.
-#[inline(always)]
-fn matmul_i8_rows_g<Q: QI8x32>(a: &[i8], b: &[i8], c: &mut [i32], m: usize, k: usize, n: usize) {
+/// The scalar oracle of the matmul row-stripe body: `c ⊞= a·b` one
+/// wrapping product at a time.
+fn matmul_i8_rows_scalar(a: &[i8], b: &[i8], c: &mut [i32], m: usize, k: usize, n: usize) {
     for i in 0..m {
-        let arow = &a[i * k..i * k + k];
         let crow = &mut c[i * n..i * n + n];
-        for (p, &av) in arow.iter().enumerate() {
+        for (p, &av) in a[i * k..i * k + k].iter().enumerate() {
             if av == 0 {
-                continue; // exact for integers: the skipped axpy adds 0
+                continue; // exact for integers: the skipped row adds 0
             }
-            axpy_row_q::<Q>(crow, av, &b[p * n..p * n + n]);
+            let w = i32::from(av);
+            for (cv, &bv) in crow.iter_mut().zip(&b[p * n..p * n + n]) {
+                *cv = cv.wrapping_add(w * i32::from(bv));
+            }
         }
     }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn matmul_i8_rows_avx2(a: &[i8], b: &[i8], c: &mut [i32], m: usize, k: usize, n: usize) {
-    matmul_i8_rows_g::<Avx2Q>(a, b, c, m, k, n)
 }
 
 /// Packs two `i8` weights into the `[w0, w1]` `i16` pair `vpmaddwd`
@@ -340,7 +172,7 @@ fn pair_weights(w0: i8, w1: i8) -> i32 {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[inline]
-unsafe fn matmul_block16_avx2pair(arow: &[i8], b: *const i8, ldb: usize, crow: *mut i32) {
+unsafe fn matmul_block16_avx2(arow: &[i8], b: *const i8, ldb: usize, crow: *mut i32) {
     use std::arch::x86_64::*;
     let k = arow.len();
     let acc0 = _mm256_loadu_si256(crow as *const __m256i);
@@ -378,7 +210,7 @@ unsafe fn matmul_block16_avx2pair(arow: &[i8], b: *const i8, ldb: usize, crow: *
     );
 }
 
-/// The pairing-tier matmul body: [`matmul_block16_avx2pair`] over every
+/// The AVX2 matmul body: [`matmul_block16_avx2`] over every
 /// full 16-column block. A column remainder (`n % 16` columns — all of
 /// `n` when `n < 16`) is packed into a zero-padded 16-column panel and
 /// runs through the same block against a 16-wide staging row, so
@@ -388,13 +220,13 @@ unsafe fn matmul_block16_avx2pair(arow: &[i8], b: *const i8, ldb: usize, crow: *
 ///
 /// Exactness: pair sums from sign-extended `i8`s are exact in `i32`
 /// (see the module docs), and wrapping addition is associative, so
-/// this produces the same bits as [`matmul_i8_rows_g`] for every
+/// this produces the same bits as [`matmul_i8_rows_scalar`] for every
 /// input, wrap-arounds included. A pair whose two weights are both
 /// zero is skipped — exact, since it contributes nothing; an odd final
 /// weight is processed as the pair `[w, 0]`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn matmul_i8_rows_avx2pair(a: &[i8], b: &[i8], c: &mut [i32], m: usize, k: usize, n: usize) {
+unsafe fn matmul_i8_rows_avx2(a: &[i8], b: &[i8], c: &mut [i32], m: usize, k: usize, n: usize) {
     let nb = n / 16 * 16;
     for i in 0..m {
         let arow = &a[i * k..i * k + k];
@@ -402,9 +234,7 @@ unsafe fn matmul_i8_rows_avx2pair(a: &[i8], b: &[i8], c: &mut [i32], m: usize, k
         for j in (0..nb).step_by(16) {
             // SAFETY: j + 16 <= nb <= n bounds the `c` block, and row p
             // of `b` holds n >= j + 16 bytes from column 0.
-            unsafe {
-                matmul_block16_avx2pair(arow, b.as_ptr().add(j), n, crow.as_mut_ptr().add(j))
-            };
+            unsafe { matmul_block16_avx2(arow, b.as_ptr().add(j), n, crow.as_mut_ptr().add(j)) };
         }
     }
     let tail = n - nb;
@@ -429,7 +259,7 @@ unsafe fn matmul_i8_rows_avx2pair(a: &[i8], b: &[i8], c: &mut [i32], m: usize, k
             let arow = &a[i * k + p0..i * k + p0 + kc];
             // SAFETY: `stage` holds 16 i32s and each of the `kc` panel
             // rows 16 bytes.
-            unsafe { matmul_block16_avx2pair(arow, panel.as_ptr(), 16, stage.as_mut_ptr()) };
+            unsafe { matmul_block16_avx2(arow, panel.as_ptr(), 16, stage.as_mut_ptr()) };
             crow.copy_from_slice(&stage[..tail]);
         }
     }
@@ -445,18 +275,13 @@ pub(crate) fn matmul_i8_rows(
     n: usize,
 ) {
     match be {
-        Backend::Scalar => matmul_i8_rows_g::<ScalarQ>(a, b, c, m, k, n),
+        Backend::Scalar => matmul_i8_rows_scalar(a, b, c, m, k, n),
         #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => matmul_i8_rows_g::<Sse2Q>(a, b, c, m, k, n),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the Avx2 backends are only ever active after runtime
+        // SAFETY: the Avx2 backend is only ever active after runtime
         // detection succeeded (`simd::active`/`simd::force` enforce it).
         Backend::Avx2 => unsafe { matmul_i8_rows_avx2(a, b, c, m, k, n) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above — `Avx2Pair` requires the same `avx2` detection.
-        Backend::Avx2Pair => unsafe { matmul_i8_rows_avx2pair(a, b, c, m, k, n) },
         #[cfg(not(target_arch = "x86_64"))]
-        _ => unreachable!("vector backends are never active off x86_64"),
+        Backend::Avx2 => unreachable!("AVX2 is never active off x86_64"),
     }
 }
 
@@ -507,8 +332,8 @@ pub fn matmul_i8(a: &[i8], b: &[i8], c: &mut [i32], m: usize, k: usize, n: usize
 // ---------------------------------------------------------------------------
 
 /// One guarded output cell of the 3×3 stencil: taps outside the plane
-/// contribute nothing (zero padding). Shared verbatim by every backend
-/// for border columns and narrow planes.
+/// contribute nothing (zero padding). The AVX2 body's border columns.
+#[cfg(target_arch = "x86_64")]
 #[inline(always)]
 fn dw_cell_scalar(x: &[i8], w9: &[i8], h: usize, wd: usize, y: usize, xc: usize) -> i32 {
     let mut acc = 0i32;
@@ -529,19 +354,10 @@ fn dw_cell_scalar(x: &[i8], w9: &[i8], h: usize, wd: usize, y: usize, xc: usize)
     acc
 }
 
-/// Output rows `y0..y1` of one `(item, channel)` plane of
-/// [`dwconv3_i8`], generic over the backend: 32-wide blocks across the
-/// interior columns (all nine taps in-bounds horizontally, rows
-/// guarded), guarded scalar cells for the borders and the interior
-/// remainder. `o` covers exactly the destination rows (`(y1-y0)·wd`
-/// elements) and is **overwritten** — stale contents are zeroed before
-/// the interior accumulation, so callers may hand in dirty scratch.
-///
-/// Rows are computed independently (the stencil reads only `x`), so any
-/// row banding produces the same bits as a full-plane pass — the fused
-/// INT8 bundle leans on this.
-#[inline(always)]
-fn dw_plane_rows_g<Q: QI8x32>(
+/// The scalar oracle of [`dw_plane_rows`]: per output row, each
+/// in-bounds tap is one wrapping multiply-add over the columns it
+/// reaches (output column `xc` reads input column `xc + kx − 1`).
+fn dw_plane_rows_scalar(
     x: &[i8],
     w9: &[i8],
     o: &mut [i32],
@@ -550,56 +366,31 @@ fn dw_plane_rows_g<Q: QI8x32>(
     y0: usize,
     y1: usize,
 ) {
-    let wi = wd.saturating_sub(2); // interior columns 1..=wd-2
-    let nq = qvector_cover(wi);
     for y in y0..y1 {
         let orow = &mut o[(y - y0) * wd..(y - y0 + 1) * wd];
-        orow[1..1 + nq].fill(0);
-        for bx in 0..nq / QLANES {
-            let xs = 1 + bx * QLANES;
-            for ky in 0..3 {
-                let iy = y + ky;
-                if iy < 1 || iy > h {
-                    continue;
-                }
-                let row = (iy - 1) * wd;
-                for kx in 0..3 {
-                    // In-bounds: xs-1 >= 0 and xs+1 + (QLANES-1) <= wd-1.
-                    let src = row + xs + kx - 1;
-                    // SAFETY: src + QLANES <= row + wd <= x.len(), and the
-                    // orow block is QLANES long starting at xs <= wd-QLANES-1.
-                    unsafe {
-                        Q::splat(w9[ky * 3 + kx])
-                            .axpy(orow.as_mut_ptr().add(xs), x.as_ptr().add(src));
-                    }
+        orow.fill(0);
+        for ky in 0..3 {
+            let iy = y + ky;
+            if iy < 1 || iy > h {
+                continue;
+            }
+            let xrow = &x[(iy - 1) * wd..iy * wd];
+            for kx in 0..3 {
+                let w = i32::from(w9[ky * 3 + kx]);
+                let (o0, i0) = (usize::from(kx == 0), kx.saturating_sub(1));
+                let len = if kx == 1 { wd } else { wd.saturating_sub(1) };
+                for (ov, &xv) in orow[o0..o0 + len].iter_mut().zip(&xrow[i0..i0 + len]) {
+                    *ov = ov.wrapping_add(w * i32::from(xv));
                 }
             }
         }
-        orow[0] = dw_cell_scalar(x, w9, h, wd, y, 0);
-        for (xc, cell) in orow.iter_mut().enumerate().skip(1 + nq) {
-            *cell = dw_cell_scalar(x, w9, h, wd, y, xc);
-        }
     }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn dw_plane_rows_avx2(
-    x: &[i8],
-    w9: &[i8],
-    o: &mut [i32],
-    h: usize,
-    wd: usize,
-    y0: usize,
-    y1: usize,
-) {
-    dw_plane_rows_g::<Avx2Q>(x, w9, o, h, wd, y0, y1)
 }
 
 /// One 16-column pairing block of the DW stencil at column `xs`:
 /// reduces the row's in-bounds tap list two taps per `vpmaddwd` into
 /// zeroed register accumulators and stores once (overwrite semantics),
-/// in the same permuted layout as [`matmul_i8_rows_avx2pair`]. The
+/// in the same permuted layout as [`matmul_i8_rows_avx2`]. The
 /// taps of a pair may come from different input rows, each carrying
 /// its own base offset.
 ///
@@ -611,13 +402,7 @@ unsafe fn dw_plane_rows_avx2(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[inline]
-unsafe fn dw_block16_avx2pair(
-    x: &[i8],
-    taps: &[(i8, usize); 9],
-    nt: usize,
-    orow: *mut i32,
-    xs: usize,
-) {
+unsafe fn dw_block16_avx2(x: &[i8], taps: &[(i8, usize); 9], nt: usize, orow: *mut i32, xs: usize) {
     use std::arch::x86_64::*;
     let mut m0 = _mm256_setzero_si256();
     let mut m1 = _mm256_setzero_si256();
@@ -659,10 +444,10 @@ unsafe fn dw_block16_avx2pair(
     );
 }
 
-/// The pairing-tier DW body: per output row the in-bounds taps are
+/// The AVX2 DW body: per output row the in-bounds taps are
 /// collected into a flat list (nine entries in the interior, six or
 /// three at the vertical borders) and reduced over 16-column register
-/// blocks ([`dw_block16_avx2pair`]). Because each block computes its
+/// blocks ([`dw_block16_avx2`]). Because each block computes its
 /// cells from scratch and stores once — it never accumulates into the
 /// output — an interior column remainder is covered by one extra block
 /// **overlapping** the previous one (re-storing identical bits), so
@@ -670,10 +455,10 @@ unsafe fn dw_block16_avx2pair(
 /// Bit-identity is the same exact-pairs argument: every output cell is
 /// the same wrapping-i32 tap sum no matter which block computes it.
 /// Planes too narrow for a block (interior < 16 columns) stage each
-/// row zero-padded instead ([`dw_row_narrow_avx2pair`]).
+/// row zero-padded instead ([`dw_row_narrow_avx2`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn dw_plane_rows_avx2pair(
+unsafe fn dw_plane_rows_avx2(
     x: &[i8],
     w9: &[i8],
     o: &mut [i32],
@@ -706,29 +491,29 @@ unsafe fn dw_plane_rows_avx2pair(
             unsafe {
                 let op = orow.as_mut_ptr();
                 for bx in 0..wi / 16 {
-                    dw_block16_avx2pair(x, &taps, nt, op, 1 + bx * 16);
+                    dw_block16_avx2(x, &taps, nt, op, 1 + bx * 16);
                 }
                 if !wi.is_multiple_of(16) {
                     // Overlapping tail block: recomputes some cells of
                     // the previous block to the same bits.
-                    dw_block16_avx2pair(x, &taps, nt, op, 1 + wi - 16);
+                    dw_block16_avx2(x, &taps, nt, op, 1 + wi - 16);
                 }
             }
             orow[0] = dw_cell_scalar(x, w9, h, wd, y, 0);
             orow[wd - 1] = dw_cell_scalar(x, w9, h, wd, y, wd - 1);
         } else {
-            dw_row_narrow_avx2pair(x, w9, orow, h, wd, y);
+            dw_row_narrow_avx2(x, w9, orow, h, wd, y);
         }
     }
 }
 
-/// One output row of a plane too narrow for [`dw_block16_avx2pair`]'s
+/// One output row of a plane too narrow for [`dw_block16_avx2`]'s
 /// in-place blocks (`wd ≤ 17`): the three input rows are staged
 /// zero-padded — plane column `c` at staged column `c + 1`, rows
 /// outside the plane all zero — so every output column, borders
 /// included, is an interior cell of the staged rows. One block covers
 /// columns `0..16`; a second, overlapping one (identical bits, see
-/// [`dw_plane_rows_avx2pair`]) covers column 16 when `wd == 17`. The
+/// [`dw_plane_rows_avx2`]) covers column 16 when `wd == 17`. The
 /// zero taps add exact zeros, so each cell is the same wrapping-i32 tap
 /// sum the guarded scalar cell computes.
 ///
@@ -737,14 +522,7 @@ unsafe fn dw_plane_rows_avx2pair(
 /// Requires AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn dw_row_narrow_avx2pair(
-    x: &[i8],
-    w9: &[i8],
-    orow: &mut [i32],
-    h: usize,
-    wd: usize,
-    y: usize,
-) {
+unsafe fn dw_row_narrow_avx2(x: &[i8], w9: &[i8], orow: &mut [i32], h: usize, wd: usize, y: usize) {
     const WP: usize = 20;
     assert!(wd <= 17, "narrow-plane path takes at most 17 columns");
     let mut rows = [0i8; 3 * WP];
@@ -763,16 +541,24 @@ unsafe fn dw_row_narrow_avx2pair(
     // 3-row, WP-column plane and `stage` one full WP-column output row,
     // and both blocks start at xs ∈ {1, wd - 15} ⊆ [1, 2] (wd ≤ 17,
     // asserted), so 1 <= xs and xs + 15 <= WP - 2 as
-    // `dw_block16_avx2pair` requires.
+    // `dw_block16_avx2` requires.
     unsafe {
-        dw_block16_avx2pair(&rows, &taps, 9, stage.as_mut_ptr(), 1);
+        dw_block16_avx2(&rows, &taps, 9, stage.as_mut_ptr(), 1);
         if wd > 16 {
-            dw_block16_avx2pair(&rows, &taps, 9, stage.as_mut_ptr(), wd - 15);
+            dw_block16_avx2(&rows, &taps, 9, stage.as_mut_ptr(), wd - 15);
         }
     }
     orow.copy_from_slice(&stage[1..1 + wd]);
 }
 
+/// Output rows `y0..y1` of one `(item, channel)` plane of
+/// [`dwconv3_i8`] on backend `be`. `o` covers exactly the destination
+/// rows (`(y1-y0)·wd` elements) and is **overwritten**, so callers may
+/// hand in dirty scratch.
+///
+/// Rows are computed independently (the stencil reads only `x`), so any
+/// row banding produces the same bits as a full-plane pass — the fused
+/// INT8 bundle leans on this.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn dw_plane_rows(
     be: Backend,
@@ -785,18 +571,13 @@ pub(crate) fn dw_plane_rows(
     y1: usize,
 ) {
     match be {
-        Backend::Scalar => dw_plane_rows_g::<ScalarQ>(x, w9, o, h, wd, y0, y1),
+        Backend::Scalar => dw_plane_rows_scalar(x, w9, o, h, wd, y0, y1),
         #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => dw_plane_rows_g::<Sse2Q>(x, w9, o, h, wd, y0, y1),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the Avx2 backends are only ever active after runtime
+        // SAFETY: the Avx2 backend is only ever active after runtime
         // detection succeeded (`simd::active`/`simd::force` enforce it).
         Backend::Avx2 => unsafe { dw_plane_rows_avx2(x, w9, o, h, wd, y0, y1) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above — `Avx2Pair` requires the same `avx2` detection.
-        Backend::Avx2Pair => unsafe { dw_plane_rows_avx2pair(x, w9, o, h, wd, y0, y1) },
         #[cfg(not(target_arch = "x86_64"))]
-        _ => unreachable!("vector backends are never active off x86_64"),
+        Backend::Avx2 => unreachable!("AVX2 is never active off x86_64"),
     }
 }
 
@@ -852,7 +633,7 @@ pub fn dwconv3_i8(x: &[i8], w: &[i8], out: &mut [i32], n: usize, c: usize, h: us
 /// `quant.<op>.saturated` counter). Non-finite inputs quantize to 0 and
 /// count as saturated.
 ///
-/// The AVX2 backends replay the scalar sequence lane-wise over
+/// The AVX2 backend replays the scalar sequence lane-wise over
 /// 32-element blocks (see the module docs); the output bits and the
 /// count are the same on every backend.
 ///
@@ -864,8 +645,8 @@ pub fn quantize_i8(src: &[f32], scale: f32, dst: &mut [i8]) -> u64 {
     assert!(scale.is_finite() && scale > 0.0, "scale must be positive");
     assert!(dst.len() >= src.len(), "dst too short");
     #[cfg(target_arch = "x86_64")]
-    if matches!(simd::active(), Backend::Avx2 | Backend::Avx2Pair) {
-        // SAFETY: the Avx2 backends are only ever active after runtime
+    if simd::active() == Backend::Avx2 {
+        // SAFETY: the Avx2 backend is only ever active after runtime
         // `avx2` detection succeeded (`simd::active`/`simd::force`
         // enforce it).
         return unsafe { quantize_i8_avx2(src, scale, dst) };
@@ -873,7 +654,7 @@ pub fn quantize_i8(src: &[f32], scale: f32, dst: &mut [i8]) -> u64 {
     quantize_i8_scalar(src, scale, dst)
 }
 
-/// The scalar oracle of [`quantize_i8`] and its `Scalar`/`Sse2` body.
+/// The scalar oracle of [`quantize_i8`] and its `Scalar` body.
 fn quantize_i8_scalar(src: &[f32], scale: f32, dst: &mut [i8]) -> u64 {
     let mut saturated = 0u64;
     for (d, &v) in dst.iter_mut().zip(src) {
@@ -901,9 +682,9 @@ fn quantize_i8_scalar(src: &[f32], scale: f32, dst: &mut [i8]) -> u64 {
 ///
 /// `mult` is `in_scale · w_scale` for the producing channel; `bias` is
 /// the (BN-folded) f32 bias. Every element runs the same f32 ops in
-/// the same order on every backend — scalar in element order on
-/// `Scalar`/`Sse2`, lane-wise over 32-element blocks on the AVX2
-/// backends (see the module docs) — so the output bits and the count
+/// the same order on both backends — scalar in element order on
+/// `Scalar`, lane-wise over 32-element blocks on `Avx2` (see the
+/// module docs) — so the output bits and the count
 /// never depend on the backend. Returns the clamp count at the `i8`
 /// step (the activation clamp is semantics, not saturation).
 ///
@@ -925,8 +706,8 @@ pub fn requant_i8(
     );
     assert!(dst.len() >= acc.len(), "dst too short");
     #[cfg(target_arch = "x86_64")]
-    if matches!(simd::active(), Backend::Avx2 | Backend::Avx2Pair) {
-        // SAFETY: the Avx2 backends are only ever active after runtime
+    if simd::active() == Backend::Avx2 {
+        // SAFETY: the Avx2 backend is only ever active after runtime
         // `avx2` detection succeeded (`simd::active`/`simd::force`
         // enforce it).
         return unsafe { requant_i8_avx2(acc, mult, bias, clamp, out_scale, dst) };
@@ -934,7 +715,7 @@ pub fn requant_i8(
     requant_i8_scalar(acc, mult, bias, clamp, out_scale, dst)
 }
 
-/// The scalar oracle of [`requant_i8`] and its `Scalar`/`Sse2` body.
+/// The scalar oracle of [`requant_i8`] and its `Scalar` body.
 fn requant_i8_scalar(
     acc: &[i32],
     mult: f32,
@@ -1420,7 +1201,7 @@ mod tests {
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn pairing_matmul_matches_scalar_generic_across_shapes() {
-        if !Backend::Avx2Pair.is_available() {
+        if !Backend::Avx2.is_available() {
             return;
         }
         for (m, k, n) in [
@@ -1437,9 +1218,9 @@ mod tests {
             // Pre-seeded accumulators exercise the permute-in path.
             let mut want = vec![7i32; m * n];
             let mut got = want.clone();
-            matmul_i8_rows_g::<ScalarQ>(&a, &b, &mut want, m, k, n);
+            matmul_i8_rows_scalar(&a, &b, &mut want, m, k, n);
             // SAFETY: guarded by the availability check above.
-            unsafe { matmul_i8_rows_avx2pair(&a, &b, &mut got, m, k, n) };
+            unsafe { matmul_i8_rows_avx2(&a, &b, &mut got, m, k, n) };
             assert_eq!(want, got, "m={m} k={k} n={n}");
         }
     }
@@ -1447,23 +1228,23 @@ mod tests {
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn pairing_matmul_wraps_identically() {
-        if !Backend::Avx2Pair.is_available() {
+        if !Backend::Avx2.is_available() {
             return;
         }
         let k = 1 << 18; // 262144 · 16384 = 2^32: wraps the i32 accumulator
         let (a, b) = (vec![i8::MIN; k], vec![i8::MIN; k * 16]);
         let mut want = vec![0i32; 16];
         let mut got = vec![0i32; 16];
-        matmul_i8_rows_g::<ScalarQ>(&a, &b, &mut want, 1, k, 16);
+        matmul_i8_rows_scalar(&a, &b, &mut want, 1, k, 16);
         // SAFETY: guarded by the availability check above.
-        unsafe { matmul_i8_rows_avx2pair(&a, &b, &mut got, 1, k, 16) };
+        unsafe { matmul_i8_rows_avx2(&a, &b, &mut got, 1, k, 16) };
         assert_eq!(want, got);
     }
 
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn pairing_dwconv_matches_scalar_generic_across_widths() {
-        if !Backend::Avx2Pair.is_available() {
+        if !Backend::Avx2.is_available() {
             return;
         }
         for wd in [1, 2, 3, 16, 17, 18, 19, 33, 40, 70] {
@@ -1473,9 +1254,9 @@ mod tests {
             // Dirty scratch: dw_plane_rows has overwrite semantics.
             let mut want = vec![-1i32; h * wd];
             let mut got = vec![13i32; h * wd];
-            dw_plane_rows_g::<ScalarQ>(&x, &w9, &mut want, h, wd, 0, h);
+            dw_plane_rows_scalar(&x, &w9, &mut want, h, wd, 0, h);
             // SAFETY: guarded by the availability check above.
-            unsafe { dw_plane_rows_avx2pair(&x, &w9, &mut got, h, wd, 0, h) };
+            unsafe { dw_plane_rows_avx2(&x, &w9, &mut got, h, wd, 0, h) };
             assert_eq!(want, got, "wd={wd}");
         }
     }

@@ -40,7 +40,7 @@
 //! Every checked-out buffer starts on a **32-byte boundary**: the
 //! backing storage is a `Vec` of 32-byte-aligned 8-float `Lane`
 //! groups, matching the [`simd`](crate::simd) vector width (one AVX2
-//! register, two SSE2 registers). The vector kernels use unaligned
+//! register). The vector kernels use unaligned
 //! loads — tensors themselves carry no alignment guarantee — but
 //! scratch-resident tiles (e.g. the matmul B-pack) land on aligned
 //! addresses, which keeps those loads from splitting cache lines.

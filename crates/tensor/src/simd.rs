@@ -4,17 +4,17 @@
 //! The hot kernels in this crate ([`dwconv`](crate::dwconv),
 //! [`matmul`](crate::matmul), the elementwise tails in
 //! [`ops`](crate::ops)/[`conv`](crate::conv)) are written **once** as
-//! generic functions over the [`F32x8`] trait and instantiated for three
+//! generic functions over the [`F32x8`] trait and instantiated for two
 //! backends:
 //!
-//! * [`ScalarV`] — plain Rust on a `[f32; 8]`, available everywhere;
-//! * [`Sse2V`] — two `__m128` halves (SSE2 is the x86_64 baseline);
+//! * [`ScalarV`] — plain Rust on a `[f32; 8]`, available everywhere and
+//!   the oracle the vector backend is checked against;
 //! * [`Avx2V`] — one `__m256`, used when the CPU reports AVX2.
 //!
 //! Every trait method performs the **same eight IEEE-754 single-precision
-//! operations in the same order** on every backend: no FMA (fused
-//! multiply-add rounds once where `mul` + `add` round twice, and SSE2
-//! cannot fuse, so fusing would split the backends), a fixed
+//! operations in the same order** on both backends: no FMA (fused
+//! multiply-add rounds once where `mul` + `add` round twice, and the
+//! scalar oracle cannot reproduce a fused rounding), a fixed
 //! [`F32x8::reduce_add`] tree, and x86 `min`/`max`/compare semantics
 //! replayed literally by the scalar fallback. A kernel written against
 //! the trait is therefore **bit-identical across backends by
@@ -25,23 +25,22 @@
 //! ## Backend selection
 //!
 //! The active backend is a process-wide setting resolved once from the
-//! `SKYNET_SIMD` environment variable (`scalar`, `sse2`, `avx2`,
-//! `avx2pair`, or `auto` — the default — which picks the widest
-//! available). Forcing a backend the CPU cannot run is a **hard error**
-//! (panic), never a silent fallback. [`force`] flips the backend at
-//! runtime — safe precisely because all backends produce identical
-//! bits, so tests and benches can sweep backends in-process.
+//! `SKYNET_SIMD` environment variable (`scalar`, `avx2`, or `auto` —
+//! the default — which picks AVX2 when the CPU has it). Any other value,
+//! and forcing a backend the CPU cannot run, is a **hard error** (panic),
+//! never a silent fallback. [`force`] flips the backend at runtime —
+//! safe precisely because both backends produce identical bits, so tests
+//! and benches can sweep backends in-process.
 //!
-//! [`Backend::Avx2Pair`] is the integer pairing tier: its f32 kernels
-//! are exactly the AVX2 ones, but the INT8 kernels in
-//! [`qint`](crate::qint) accumulate adjacent `i8×i8` products through
-//! `madd`-style pair reduction (still bit-identical — see the module
-//! docs there). It is preferred by `auto` wherever AVX2 is available.
+//! [`Backend::Avx2`] also selects the AVX2 INT8 kernels in
+//! [`qint`](crate::qint), which accumulate adjacent `i8×i8` products
+//! through `madd`-style pair reduction (still bit-identical — see the
+//! module docs there).
 //!
 //! ## Telemetry
 //!
 //! When metrics are on, the `simd.backend` gauge reports the resolved
-//! backend (0 = scalar, 1 = sse2, 2 = avx2, 3 = avx2pair) and `simd.<op>.lanes_used`
+//! backend (0 = scalar, 1 = avx2) and `simd.<op>.lanes_used`
 //! counters tally elements processed through the 8-lane kernels (the
 //! scalar backend replays the same lane structure, so its elements count
 //! too; for `matmul` the count is nominal — the `a == 0` skip is not
@@ -60,14 +59,9 @@ pub const LANES: usize = 8;
 pub enum Backend {
     /// Plain Rust replaying the 8-lane operation order.
     Scalar,
-    /// SSE2 (`__m128` pairs) — the x86_64 baseline, always available there.
-    Sse2,
-    /// AVX2 (`__m256`) — requires runtime CPU support.
+    /// AVX2 (`__m256` f32 lanes, pairwise-`madd` INT8) — requires
+    /// runtime CPU support.
     Avx2,
-    /// AVX2 with pairwise-`madd` INT8 accumulation. The f32 kernels are
-    /// identical to [`Backend::Avx2`]; only the integer kernels differ
-    /// (and only in throughput — never in output bits).
-    Avx2Pair,
 }
 
 impl Backend {
@@ -75,9 +69,7 @@ impl Backend {
     pub fn name(self) -> &'static str {
         match self {
             Backend::Scalar => "scalar",
-            Backend::Sse2 => "sse2",
             Backend::Avx2 => "avx2",
-            Backend::Avx2Pair => "avx2pair",
         }
     }
 
@@ -86,11 +78,9 @@ impl Backend {
         match self {
             Backend::Scalar => true,
             #[cfg(target_arch = "x86_64")]
-            Backend::Sse2 => true,
-            #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 | Backend::Avx2Pair => std::arch::is_x86_feature_detected!("avx2"),
+            Backend::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
             #[cfg(not(target_arch = "x86_64"))]
-            _ => false,
+            Backend::Avx2 => false,
         }
     }
 
@@ -98,9 +88,7 @@ impl Backend {
     fn code(self) -> u8 {
         match self {
             Backend::Scalar => 0,
-            Backend::Sse2 => 1,
-            Backend::Avx2 => 2,
-            Backend::Avx2Pair => 3,
+            Backend::Avx2 => 1,
         }
     }
 }
@@ -108,7 +96,7 @@ impl Backend {
 /// Every `SKYNET_SIMD` value [`init_from_env`] accepts, in the order the
 /// hard error lists them. Pinned by a unit test so the message cannot
 /// silently drift from the parser.
-const ACCEPTED_SIMD_VALUES: &str = "scalar|sse2|avx2|avx2pair|auto";
+const ACCEPTED_SIMD_VALUES: &str = "scalar|avx2|auto";
 
 /// The unknown-`SKYNET_SIMD` hard-error text. Kept in a helper so the
 /// panic and the test pinning its wording share one definition.
@@ -119,25 +107,18 @@ fn unknown_simd_value_message(other: &str) -> String {
 /// Every backend this process can execute, widest last. The first entry
 /// is always [`Backend::Scalar`], so sweeps have a fixed oracle.
 pub fn available_backends() -> Vec<Backend> {
-    [
-        Backend::Scalar,
-        Backend::Sse2,
-        Backend::Avx2,
-        Backend::Avx2Pair,
-    ]
-    .into_iter()
-    .filter(|b| b.is_available())
-    .collect()
+    [Backend::Scalar, Backend::Avx2]
+        .into_iter()
+        .filter(|b| b.is_available())
+        .collect()
 }
 
 /// `ACTIVE` encoding: 0 = unresolved, otherwise `Backend::code() + 1`.
 static ACTIVE: AtomicU8 = AtomicU8::new(0);
 
 fn widest_available() -> Backend {
-    if Backend::Avx2Pair.is_available() {
-        Backend::Avx2Pair
-    } else if Backend::Sse2.is_available() {
-        Backend::Sse2
+    if Backend::Avx2.is_available() {
+        Backend::Avx2
     } else {
         Backend::Scalar
     }
@@ -158,22 +139,29 @@ pub fn active() -> Backend {
     match ACTIVE.load(Ordering::Relaxed) {
         0 => init_from_env(),
         1 => Backend::Scalar,
-        2 => Backend::Sse2,
-        3 => Backend::Avx2,
-        _ => Backend::Avx2Pair,
+        _ => Backend::Avx2,
+    }
+}
+
+/// Maps one `SKYNET_SIMD` value to its backend (`auto` and the empty
+/// string pick the widest available).
+///
+/// # Panics
+///
+/// Panics with [`unknown_simd_value_message`] on any other value.
+fn parse_simd_value(value: &str) -> Backend {
+    match value {
+        "auto" | "" => widest_available(),
+        "scalar" => Backend::Scalar,
+        "avx2" => Backend::Avx2,
+        other => panic!("{}", unknown_simd_value_message(other)),
     }
 }
 
 #[cold]
 fn init_from_env() -> Backend {
-    let be = match std::env::var("SKYNET_SIMD").as_deref() {
-        Err(_) | Ok("auto") | Ok("") => widest_available(),
-        Ok("scalar") => Backend::Scalar,
-        Ok("sse2") => Backend::Sse2,
-        Ok("avx2") => Backend::Avx2,
-        Ok("avx2pair") => Backend::Avx2Pair,
-        Ok(other) => panic!("{}", unknown_simd_value_message(other)),
-    };
+    let be =
+        std::env::var("SKYNET_SIMD").map_or_else(|_| widest_available(), |v| parse_simd_value(&v));
     assert!(
         be.is_available(),
         "SKYNET_SIMD={} forced, but this CPU cannot execute it",
@@ -299,8 +287,9 @@ pub trait F32x8: Copy {
     /// `if_true`, else `if_false`. `mask` must come from a compare.
     fn select(mask: Self, if_true: Self, if_false: Self) -> Self;
     /// Sums the lanes in the fixed tree
-    /// `((l0+l4) + (l2+l6)) + ((l1+l5) + (l3+l7))` — the order the SSE
-    /// `movehl`/`shuffle` reduction produces, replayed by every backend.
+    /// `((l0+l4) + (l2+l6)) + ((l1+l5) + (l3+l7))` — the order the AVX2
+    /// backend's `movehl`/`shuffle` reduction produces, replayed by the
+    /// scalar backend.
     fn reduce_add(self) -> f32;
     /// Lanes as an array (for scalar scatter of vector products).
     fn to_array(self) -> [f32; 8];
@@ -312,7 +301,7 @@ pub trait F32x8: Copy {
 
 /// The scalar backend: a `[f32; 8]` replaying the vector operation order
 /// literally. This is the oracle the `simd_equivalence` suite compares
-/// the ISA backends against.
+/// the AVX2 backend against.
 #[derive(Debug, Clone, Copy)]
 pub struct ScalarV([f32; LANES]);
 
@@ -430,170 +419,13 @@ impl F32x8 for ScalarV {
 }
 
 // ---------------------------------------------------------------------------
-// SSE2 backend (x86_64 baseline)
-// ---------------------------------------------------------------------------
-
-/// SSE2 backend: two `__m128` halves (lanes 0–3 and 4–7). SSE2 is part
-/// of the x86_64 baseline, so this backend needs no runtime detection.
-#[cfg(target_arch = "x86_64")]
-#[derive(Debug, Clone, Copy)]
-pub struct Sse2V(std::arch::x86_64::__m128, std::arch::x86_64::__m128);
-
-#[cfg(target_arch = "x86_64")]
-impl F32x8 for Sse2V {
-    #[inline(always)]
-    fn splat(v: f32) -> Self {
-        use std::arch::x86_64::*;
-        unsafe { Sse2V(_mm_set1_ps(v), _mm_set1_ps(v)) }
-    }
-
-    #[inline(always)]
-    fn load(src: &[f32]) -> Self {
-        assert!(src.len() >= LANES, "load needs 8 elements");
-        // SAFETY: length checked above.
-        unsafe { Self::load_ptr(src.as_ptr()) }
-    }
-
-    #[inline(always)]
-    fn load_stride2(src: &[f32]) -> Self {
-        assert!(src.len() >= 15, "load_stride2 needs 15 elements");
-        // SAFETY: length checked above.
-        unsafe { Self::load_stride2_ptr(src.as_ptr()) }
-    }
-
-    #[inline(always)]
-    fn store(self, dst: &mut [f32]) {
-        assert!(dst.len() >= LANES, "store needs 8 elements");
-        // SAFETY: length checked above.
-        unsafe { self.store_ptr(dst.as_mut_ptr()) }
-    }
-
-    #[inline(always)]
-    unsafe fn load_ptr(src: *const f32) -> Self {
-        use std::arch::x86_64::*;
-        // SAFETY: caller guarantees 8 readable elements.
-        unsafe { Sse2V(_mm_loadu_ps(src), _mm_loadu_ps(src.add(4))) }
-    }
-
-    #[inline(always)]
-    unsafe fn load_stride2_ptr(src: *const f32) -> Self {
-        use std::arch::x86_64::*;
-        // SAFETY: caller guarantees 15 readable elements.
-        unsafe {
-            // Lanes 0–3 = src[0,2,4,6]: deinterleave two 4-wide loads.
-            let a = _mm_loadu_ps(src); //  s0 s1 s2 s3
-            let b = _mm_loadu_ps(src.add(4)); //  s4 s5 s6 s7
-            let lo = _mm_shuffle_ps::<0b10_00_10_00>(a, b); // s0 s2 s4 s6
-                                                            // Lanes 4–7 = src[8,10,12,14]: the second load starts at 11
-                                                            // so the last element read is src[14], never src[15].
-            let c = _mm_loadu_ps(src.add(8)); //  s8 s9 s10 s11
-            let d = _mm_loadu_ps(src.add(11)); // s11 s12 s13 s14
-            let hi = _mm_shuffle_ps::<0b11_01_10_00>(c, d); // s8 s10 s12 s14
-            Sse2V(lo, hi)
-        }
-    }
-
-    #[inline(always)]
-    unsafe fn store_ptr(self, dst: *mut f32) {
-        use std::arch::x86_64::*;
-        // SAFETY: caller guarantees 8 writable elements.
-        unsafe {
-            _mm_storeu_ps(dst, self.0);
-            _mm_storeu_ps(dst.add(4), self.1);
-        }
-    }
-
-    #[inline(always)]
-    fn add(self, o: Self) -> Self {
-        use std::arch::x86_64::*;
-        unsafe { Sse2V(_mm_add_ps(self.0, o.0), _mm_add_ps(self.1, o.1)) }
-    }
-
-    #[inline(always)]
-    fn sub(self, o: Self) -> Self {
-        use std::arch::x86_64::*;
-        unsafe { Sse2V(_mm_sub_ps(self.0, o.0), _mm_sub_ps(self.1, o.1)) }
-    }
-
-    #[inline(always)]
-    fn mul(self, o: Self) -> Self {
-        use std::arch::x86_64::*;
-        unsafe { Sse2V(_mm_mul_ps(self.0, o.0), _mm_mul_ps(self.1, o.1)) }
-    }
-
-    #[inline(always)]
-    fn min(self, o: Self) -> Self {
-        use std::arch::x86_64::*;
-        unsafe { Sse2V(_mm_min_ps(self.0, o.0), _mm_min_ps(self.1, o.1)) }
-    }
-
-    #[inline(always)]
-    fn max(self, o: Self) -> Self {
-        use std::arch::x86_64::*;
-        unsafe { Sse2V(_mm_max_ps(self.0, o.0), _mm_max_ps(self.1, o.1)) }
-    }
-
-    #[inline(always)]
-    fn abs(self) -> Self {
-        use std::arch::x86_64::*;
-        unsafe {
-            let m = _mm_castsi128_ps(_mm_set1_epi32(0x7fff_ffff));
-            Sse2V(_mm_and_ps(self.0, m), _mm_and_ps(self.1, m))
-        }
-    }
-
-    #[inline(always)]
-    fn less_than(self, o: Self) -> Self {
-        use std::arch::x86_64::*;
-        unsafe { Sse2V(_mm_cmplt_ps(self.0, o.0), _mm_cmplt_ps(self.1, o.1)) }
-    }
-
-    #[inline(always)]
-    fn select(mask: Self, if_true: Self, if_false: Self) -> Self {
-        use std::arch::x86_64::*;
-        unsafe {
-            Sse2V(
-                _mm_or_ps(
-                    _mm_and_ps(mask.0, if_true.0),
-                    _mm_andnot_ps(mask.0, if_false.0),
-                ),
-                _mm_or_ps(
-                    _mm_and_ps(mask.1, if_true.1),
-                    _mm_andnot_ps(mask.1, if_false.1),
-                ),
-            )
-        }
-    }
-
-    #[inline(always)]
-    fn reduce_add(self) -> f32 {
-        use std::arch::x86_64::*;
-        unsafe {
-            // s = [l0+l4, l1+l5, l2+l6, l3+l7]
-            let s = _mm_add_ps(self.0, self.1);
-            // t = [s0+s2, s1+s3, ..] — then r = t0 + t1.
-            let t = _mm_add_ps(s, _mm_movehl_ps(s, s));
-            let r = _mm_add_ss(t, _mm_shuffle_ps::<0b01>(t, t));
-            _mm_cvtss_f32(r)
-        }
-    }
-
-    #[inline(always)]
-    fn to_array(self) -> [f32; 8] {
-        let mut out = [0.0f32; 8];
-        self.store(&mut out);
-        out
-    }
-}
-
-// ---------------------------------------------------------------------------
 // AVX2 backend
 // ---------------------------------------------------------------------------
 
 /// AVX2 backend: one `__m256`. Only instantiated behind
 /// `#[target_feature(enable = "avx2")]` wrappers after runtime
-/// detection. FMA is deliberately **not** enabled or used: fusing would
-/// change rounding versus the SSE2/scalar backends and break the
+/// detection. FMA is deliberately **not** enabled or used: the scalar
+/// oracle cannot reproduce a fused rounding, so fusing would break the
 /// cross-ISA bit-identity contract.
 #[cfg(target_arch = "x86_64")]
 #[derive(Debug, Clone, Copy)]
@@ -756,13 +588,11 @@ macro_rules! elementwise {
             match active() {
                 Backend::Scalar => $generic::<ScalarV>($($arg),*),
                 #[cfg(target_arch = "x86_64")]
-                Backend::Sse2 => $generic::<Sse2V>($($arg),*),
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: the Avx2 backends are only ever stored after a
+                // SAFETY: the Avx2 backend is only ever stored after a
                 // successful runtime `avx2` detection.
-                Backend::Avx2 | Backend::Avx2Pair => unsafe { $avx2($($arg),*) },
+                Backend::Avx2 => unsafe { $avx2($($arg),*) },
                 #[cfg(not(target_arch = "x86_64"))]
-                _ => unreachable!("x86 backends are never active off x86_64"),
+                Backend::Avx2 => unreachable!("AVX2 is never active off x86_64"),
             }
         }
     };
@@ -1053,12 +883,6 @@ mod tests {
 
     #[cfg(target_arch = "x86_64")]
     #[test]
-    fn sse2_matches_scalar_oracle() {
-        check_backend_eq::<Sse2V>();
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
     fn avx2_matches_scalar_oracle() {
         if !Backend::Avx2.is_available() {
             return;
@@ -1084,30 +908,26 @@ mod tests {
         assert!(all.iter().all(|b| b.is_available()));
     }
 
-    #[test]
-    fn avx2pair_tracks_avx2_availability() {
-        assert_eq!(
-            Backend::Avx2Pair.is_available(),
-            Backend::Avx2.is_available()
-        );
-        let all = available_backends();
-        assert_eq!(
-            all.contains(&Backend::Avx2Pair),
-            Backend::Avx2.is_available()
-        );
-    }
-
     /// Pins the unknown-`SKYNET_SIMD` hard-error wording: it must list
-    /// every accepted value, including the pairing tier.
+    /// every accepted value. The names of the deleted tiers are unknown
+    /// values like any other — no alias, no fallback.
     #[test]
     fn unknown_simd_value_error_lists_all_accepted_values() {
         let msg = unknown_simd_value_message("turbo");
         assert_eq!(
             msg,
-            "SKYNET_SIMD=\"turbo\" is not a backend (expected scalar|sse2|avx2|avx2pair|auto)"
+            "SKYNET_SIMD=\"turbo\" is not a backend (expected scalar|avx2|auto)"
         );
-        for accepted in ["scalar", "sse2", "avx2", "avx2pair", "auto"] {
+        for accepted in ["scalar", "avx2", "auto"] {
             assert!(msg.contains(accepted), "message must list {accepted:?}");
+        }
+        for retired in ["sse2", "avx2pair"] {
+            let err = std::panic::catch_unwind(|| parse_simd_value(retired))
+                .expect_err("retired backend name must be rejected");
+            let text = err
+                .downcast_ref::<String>()
+                .expect("formatted panic message");
+            assert_eq!(*text, unknown_simd_value_message(retired));
         }
     }
 

@@ -1,5 +1,5 @@
 //! The INT8 determinism contract: every available SIMD backend must be
-//! **bit-identical** to the 32-lane scalar oracle on the integer
+//! **bit-identical** to the plain-loop scalar oracle on the integer
 //! kernels (`matmul_i8_acc`, `dwconv3_i8`) over random shapes and
 //! values — including the `i8::MIN` corner and accumulators driven
 //! through i32 wrap-around — on the worker pool and under
@@ -13,7 +13,7 @@
 //! saturates instead of wrapping).
 //!
 //! The f32 → `i8` epilogues (`requant_i8`, `quantize_i8`) are the
-//! engineered kind: the AVX2 backends replay the scalar oracle's IEEE
+//! engineered kind: the AVX2 backend replays the scalar oracle's IEEE
 //! ops lane-wise, with ties-away rounding emulated. Their suites plant
 //! the inputs where an emulation would slip — exact `.5` ties up to
 //! `±127.5`, `-0.0`, clamp-window edges, `i32` extremes, NaN and ±∞ —
@@ -380,7 +380,7 @@ fn accumulator_wraps_identically_across_backends() {
     assert!(c.iter().all(|&v| v == 0), "2^32 wraps to exactly zero");
 }
 
-/// Narrow shapes take the staged paths of the pairing tier — DW planes
+/// Narrow shapes take the staged paths of the AVX2 kernels — DW planes
 /// of at most 17 columns run each row through a zero-padded copy, and a
 /// matmul's last `n % 16` columns through a zero-padded panel — so
 /// sweep every width around those edges.

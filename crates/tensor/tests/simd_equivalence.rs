@@ -251,15 +251,18 @@ fn empty_interior_is_border_only_and_agrees() {
     dwconv_case(0xBEF1, 1, 2, 8, 1, 1, 1);
 }
 
-/// `available_backends` on x86_64 always contains scalar + SSE2; the
-/// forced-backend hard error fires for unavailable backends only.
+/// `available_backends` is exactly the scalar oracle, plus AVX2 when
+/// the CPU has it; the forced-backend hard error fires for unavailable
+/// backends only.
 #[test]
 fn backend_forcing_contract() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let all = simd::available_backends();
-    assert!(all.contains(&Backend::Scalar));
-    #[cfg(target_arch = "x86_64")]
-    assert!(all.contains(&Backend::Sse2));
+    if Backend::Avx2.is_available() {
+        assert_eq!(all, [Backend::Scalar, Backend::Avx2]);
+    } else {
+        assert_eq!(all, [Backend::Scalar]);
+    }
     for be in all {
         with_backend(be, || assert_eq!(simd::active(), be));
     }
