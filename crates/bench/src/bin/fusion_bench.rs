@@ -3,7 +3,8 @@
 //! Runs the model-C backbone (width ÷8, 160×320 input — the same
 //! configuration `profile` measures) in eval mode with the graph-level
 //! execution plan on (`SKYNET_FUSION=on`: BN-fold + fused activation +
-//! cache-resident DW→PW bundle tiles) and off (the unfused
+//! cache-resident DW→PW bundle tiles + pools folded into the bundles'
+//! store loops) and off (the unfused
 //! layer-by-layer oracle), pooled and forced-serial, and reports the
 //! speedup. Before timing, the two paths' outputs are asserted
 //! **CRC-identical** — the fusion bit-identity contract at the whole-net
@@ -83,6 +84,8 @@ fn main() {
     let snap = telemetry::snapshot();
     let bundles = snap.counter("fusion.bundles_executed").unwrap_or(0);
     assert_eq!(bundles, 6, "expected all 6 model-C bundles fused");
+    let pools = snap.counter("fusion.pools_folded").unwrap_or(0);
+    assert_eq!(pools, 3, "expected all 3 pools folded into their bundles");
     assert_eq!(
         snap.counter("fusion.fallback").unwrap_or(0),
         0,
@@ -112,8 +115,9 @@ fn main() {
          eval forwards per path per mode, reps interleaved. Active SIMD \
          backend: `{}`; pool size {}. Both paths produce CRC-identical \
          outputs (`{crc_u:08x}`), asserted before timing; the plan fused \
-         all {bundles} bundles with zero fallbacks and skips \
-         {dram_saved} bytes of intermediate DRAM traffic per forward.\n",
+         all {bundles} bundles, folded {pools} pools with zero fallbacks \
+         and skips {dram_saved} bytes of intermediate DRAM traffic per \
+         forward.\n",
         simd::active().name(),
         parallel::num_threads(),
     );
@@ -136,7 +140,10 @@ fn main() {
          outputs): each bundle runs DW→BN→Act→PW→BN→Act over row bands \
          whose tiles stay in the thread-local scratch arena, with the BN \
          and activation epilogues folded into the producing kernels' \
-         store loops.\n"
+         store loops. Bundles 1–3 also fold their 2×2 max-pool (and \
+         Bundle 3 the bypass reorg) into that store: each band's tile is \
+         pooled and permuted straight into the next layer's inputs, so \
+         their full-resolution outputs are never written either.\n"
     );
 
     std::fs::create_dir_all("bench_results").expect("bench_results dir");

@@ -187,8 +187,13 @@ fn main() {
     // per-op table must still cover >= 90 % of wall time (the fused
     // spans `fused.bundleN` replace `skynet.bundleN`, never coexist with
     // it) and the steady-state loop must stay on the arena's hit path.
-    telemetry::reset_metrics();
+    // The warm-up's train forwards dropped the plan: rebuild it first,
+    // outside the measured loop.
     fusion::force(true);
+    parallel::serial(|| net.forward(&x, Mode::Eval).expect("plan build"));
+    telemetry::drain_spans();
+    telemetry::reset_metrics();
+    let fused_alloc_before = alloc::stats();
     let t0f = Instant::now();
     parallel::serial(|| {
         for _ in 0..iters {
@@ -196,6 +201,7 @@ fn main() {
         }
     });
     let fused_wall = t0f.elapsed();
+    let alloc_fused = alloc::stats().since(&fused_alloc_before);
     let fused_spans = telemetry::drain_spans();
     let fused_stats = telemetry::aggregate(&fused_spans);
     let fused_snap = telemetry::snapshot();
@@ -285,13 +291,22 @@ fn main() {
         report,
         "{fused_e2e_ms:.2} ms/iter through the graph-level plan \
          (BN-fold + fused activation + cache-resident DW→PW bundle \
-         tiles) vs {e2e_ms:.2} ms/iter unfused — **{:.2}x** — with \
-         bit-identical output (see `fusion_bench`). The `fused.bundleN` \
-         spans replace `skynet.bundleN`; coverage and the zero-arena-miss \
-         invariant hold on the fused path too.\n",
+         tiles + pools folded into their store) vs {e2e_ms:.2} ms/iter \
+         unfused — **{:.2}x** — with bit-identical output (see \
+         `fusion_bench`). The `fused.bundleN` spans replace \
+         `skynet.bundleN`; pool and reorg time sits inside them, under \
+         `tensor.fused_fwd`. Coverage and the zero-arena-miss invariant \
+         hold on the fused path too.\n",
         e2e_ms / fused_e2e_ms.max(1e-9),
     );
     let _ = writeln!(report, "{fused_table}");
+    let _ = writeln!(
+        report,
+        "\nSteady-state fused forward allocations (global-allocator tap): {} calls / \
+         {} bytes per iteration.\n",
+        alloc_fused.alloc_calls / iters as u64,
+        alloc_fused.alloc_bytes / iters as u64,
+    );
     let _ = writeln!(report, "\n`fusion.*` counters over the fused phase:\n");
     let _ = writeln!(report, "```");
     for (name, v) in &fused_snap.counters {

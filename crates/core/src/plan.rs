@@ -3,7 +3,7 @@
 //! [`SkyNet`]'s layer objects execute one at a time, materializing every
 //! intermediate feature map. This module builds a small static **graph
 //! IR** ([`Graph`]) from the bundle structure once, rewrites it with
-//! three fusion passes, and compiles the result into an executable
+//! four fusion passes, and compiles the result into an executable
 //! [`ExecPlan`] whose steps drive the fused kernels in
 //! [`skynet_tensor::fused`]:
 //!
@@ -25,6 +25,12 @@
 //!    `DW-Conv3+BN+Act → PW+BN+Act` pair executes over cache-resident
 //!    row tiles in the scratch arena, never materializing the
 //!    intermediate ([`skynet_tensor::fused::fused_bundle_forward`]).
+//! 4. **Pool fold** ([`Graph::fuse_pool`]) — a fused bundle followed by
+//!    the 2×2 max-pool (and, for Bundle 3 of variants B/C, by the reorg
+//!    fork before it) stores only the pooled rows (and the bypass) from
+//!    each band's tile, so the full-resolution map is never written
+//!    ([`skynet_tensor::fused::fused_bundle_forward_store`]). A pool or
+//!    fork the pass cannot fold (window or block ≠ 2) fails the build.
 //!
 //! Every pass preserves **bit-identity** with the unfused layer path
 //! across SIMD backends and thread counts; the unfused path stays on as
@@ -36,10 +42,8 @@
 use crate::skynet::{SkyNet, Variant};
 use skynet_nn::{Activation, BatchNorm2d, Conv2d, DwConv2d, Sequential};
 use skynet_tensor::conv::{conv2d, ConvGeometry};
-use skynet_tensor::fused::{fused_bundle_forward, BnAct};
+use skynet_tensor::fused::{fused_bundle_forward_store, BnAct, BundleStore};
 use skynet_tensor::ops::concat_channels;
-use skynet_tensor::pool::maxpool2d;
-use skynet_tensor::reorg::reorg;
 use skynet_tensor::{telemetry, Result, Tensor};
 
 /// One node of the inference graph IR. `bundle` is the 0-based bundle
@@ -99,14 +103,35 @@ pub enum Op {
         /// Bundle position.
         bundle: usize,
     },
-    /// 2×2 max-pool after bundles 1–3.
+    /// A fused bundle whose store also emits the reorg fork — the
+    /// intermediate [`Graph::fuse_pool`] forms on its way to
+    /// [`Op::PooledBundle`]; it never survives the pass in SkyNet.
+    ForkedBundle {
+        /// Bundle position.
+        bundle: usize,
+    },
+    /// A fused bundle whose store loop writes only the 2×2 max-pooled
+    /// map, plus the reorg bypass when `fork` (after
+    /// [`Graph::fuse_pool`]).
+    PooledBundle {
+        /// Bundle position.
+        bundle: usize,
+        /// Also emits the space-to-depth bypass for [`Op::Concat`].
+        fork: bool,
+    },
+    /// Max-pool after bundles 1–3.
     Pool {
         /// Pool position (0–2).
         idx: usize,
+        /// Window (and stride); 2 in SkyNet.
+        k: usize,
     },
     /// Fork point: reorg (space-to-depth) the current map and stash it
     /// as the bypass operand for [`Op::Concat`].
-    ReorgFork,
+    ReorgFork {
+        /// Block size; 2 in SkyNet.
+        block: usize,
+    },
     /// Join point: concatenate the stashed bypass onto the current map.
     Concat,
     /// The 1×1 detection head (with bias, no BN/activation).
@@ -150,9 +175,14 @@ impl Graph {
         for i in 0..3 {
             bundle_ops(&mut ops, i);
             if i == 2 && net.cfg.variant != Variant::A {
-                ops.push(Op::ReorgFork);
+                ops.push(Op::ReorgFork {
+                    block: net.reorg.block(),
+                });
             }
-            ops.push(Op::Pool { idx: i });
+            ops.push(Op::Pool {
+                idx: i,
+                k: net.pools[i].window(),
+            });
         }
         bundle_ops(&mut ops, 3);
         bundle_ops(&mut ops, 4);
@@ -224,11 +254,33 @@ impl Graph {
         });
     }
 
-    /// Runs all three passes in their documented order.
+    /// Pass 4 — pool fold: `FusedBundle → Pool` becomes one pooled
+    /// bundle, and `FusedBundle → ReorgFork → Pool` one pooled bundle
+    /// that also emits the fork (via [`Op::ForkedBundle`], which the
+    /// same sweep merges with the pool). Only the 2×2 window and block
+    /// fold; any other pool or fork survives and fails the plan build.
+    pub fn fuse_pool(&mut self) {
+        self.rewrite_pairs(|a, b| match (a, b) {
+            (Op::FusedBundle { bundle }, Op::Pool { k: 2, .. }) => Some(Op::PooledBundle {
+                bundle,
+                fork: false,
+            }),
+            (Op::FusedBundle { bundle }, Op::ReorgFork { block: 2 }) => {
+                Some(Op::ForkedBundle { bundle })
+            }
+            (Op::ForkedBundle { bundle }, Op::Pool { k: 2, .. }) => {
+                Some(Op::PooledBundle { bundle, fork: true })
+            }
+            _ => None,
+        });
+    }
+
+    /// Runs all four passes in their documented order.
     pub fn optimize(&mut self) {
         self.fold_bn();
         self.fuse_act();
         self.fuse_bundles();
+        self.fuse_pool();
     }
 
     /// One left-to-right sweep replacing adjacent pairs; linear passes
@@ -272,7 +324,6 @@ const FUSED_SPANS: [&str; 6] = [
     "fused.bundle5",
     "fused.bundle6",
 ];
-const POOL_SPANS: [&str; 3] = ["skynet.pool1", "skynet.pool2", "skynet.pool3"];
 
 /// Captured weights + epilogues of one fused bundle (boxed inside
 /// [`Step`] to keep the step list's per-element size small).
@@ -283,19 +334,15 @@ struct FusedStep {
     bn1: BnAct,
     pw_w: Tensor,
     bn2: BnAct,
+    /// What the store loop writes: the full map, or the pooled map
+    /// (and the bypass) folded in by [`Graph::fuse_pool`].
+    store: BundleStore,
 }
 
 /// One executable step of a compiled plan.
 enum Step {
     /// A fused bundle: weights + captured epilogues.
     Fused(Box<FusedStep>),
-    Pool {
-        span: &'static str,
-        k: usize,
-    },
-    ReorgFork {
-        block: usize,
-    },
     Concat,
     Head {
         w: Tensor,
@@ -368,7 +415,11 @@ fn bundle_parts(
 }
 
 /// Captures one bundle's weights and epilogues as a fused step.
-fn compile_bundle(seq: &Sequential, idx: usize) -> std::result::Result<Step, PlanError> {
+fn compile_bundle(
+    seq: &Sequential,
+    idx: usize,
+    store: BundleStore,
+) -> std::result::Result<Step, PlanError> {
     let (dw, bn1, act1, pw, bn2, act2) = bundle_parts(seq, idx)?;
     let geo = dw.geometry();
     if geo.kernel != 3 || (geo.stride != 1 && geo.stride != 2) {
@@ -403,12 +454,13 @@ fn compile_bundle(seq: &Sequential, idx: usize) -> std::result::Result<Step, Pla
         bn1: ep(bn1, act1.kind().output_ceiling()),
         pw_w: pw.weight().clone(),
         bn2: ep(bn2, act2.kind().output_ceiling()),
+        store,
     })))
 }
 
 impl ExecPlan {
     /// Builds and optimizes the plan for a network: IR construction, the
-    /// three fusion passes, then weight/epilogue capture.
+    /// four fusion passes, then weight/epilogue capture.
     ///
     /// # Errors
     ///
@@ -420,24 +472,27 @@ impl ExecPlan {
         graph.optimize();
         let mut steps = Vec::with_capacity(graph.ops().len());
         for &op in graph.ops() {
+            let bundle_seq = |bundle: usize| {
+                if bundle < net.bundles.len() {
+                    Ok(&net.bundles[bundle])
+                } else {
+                    net.bundle6
+                        .as_ref()
+                        .ok_or_else(|| PlanError("bundle 6 missing".into()))
+                }
+            };
             steps.push(match op {
                 Op::FusedBundle { bundle } => {
-                    let seq = if bundle < net.bundles.len() {
-                        &net.bundles[bundle]
-                    } else {
-                        net.bundle6
-                            .as_ref()
-                            .ok_or_else(|| PlanError("bundle 6 missing".into()))?
-                    };
-                    compile_bundle(seq, bundle)?
+                    compile_bundle(bundle_seq(bundle)?, bundle, BundleStore::Full)?
                 }
-                Op::Pool { idx } => Step::Pool {
-                    span: POOL_SPANS[idx],
-                    k: net.pools[idx].window(),
-                },
-                Op::ReorgFork => Step::ReorgFork {
-                    block: net.reorg.block(),
-                },
+                Op::PooledBundle { bundle, fork } => {
+                    let store = if fork {
+                        BundleStore::PoolFork
+                    } else {
+                        BundleStore::Pool
+                    };
+                    compile_bundle(bundle_seq(bundle)?, bundle, store)?
+                }
                 Op::Concat => Step::Concat,
                 Op::Head => Step::Head {
                     w: net.head.weight().clone(),
@@ -475,16 +530,13 @@ impl ExecPlan {
             cur = match step {
                 Step::Fused(f) => {
                     let _s = telemetry::span(f.span);
-                    fused_bundle_forward(&cur, &f.dw_w, f.dw_geo, &f.bn1, &f.pw_w, &f.bn2)?
-                }
-                Step::Pool { span, k } => {
-                    let _s = telemetry::span(span);
-                    maxpool2d(&cur, *k)?.output
-                }
-                Step::ReorgFork { block } => {
-                    let _s = telemetry::span("skynet.reorg");
-                    bypass = Some(reorg(&cur, *block)?);
-                    cur
+                    let (out, by) = fused_bundle_forward_store(
+                        &cur, &f.dw_w, f.dw_geo, &f.bn1, &f.pw_w, &f.bn2, f.store,
+                    )?;
+                    if by.is_some() {
+                        bypass = by;
+                    }
+                    out
                 }
                 Step::Concat => {
                     let _s = telemetry::span("skynet.concat");
@@ -510,7 +562,9 @@ impl ExecPlan {
 /// kernels or as one cache-resident fused tile
 /// ([`skynet_tensor::fused::qfused_bundle_forward`]). That decision is
 /// the `fused` flag on [`QOp::Bundle`], set by
-/// [`QExecPlan::lower_fused`].
+/// [`QExecPlan::lower_fused`], which also folds the pool (and fork) that
+/// follows a fused bundle into its `store` — the INT8 twin of
+/// [`Graph::fuse_pool`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QOp {
     /// Quantize the f32 input into the `i8` activation domain.
@@ -524,6 +578,11 @@ pub enum QOp {
         /// forward and counts `quant.fused.fallback` when a
         /// fused-lowered bundle has to run unfused.
         fused: bool,
+        /// What the bundle stores: the full map, or — once lowering has
+        /// folded the following pool (and fork) in — the pooled map
+        /// (and the bypass). A bundle that runs unfused pools and forks
+        /// with the staged `maxpool`/`reorg` instead.
+        store: BundleStore,
     },
     /// 2×2 max-pool after bundles 1–3.
     Pool {
@@ -562,6 +621,7 @@ impl QExecPlan {
             ops.push(QOp::Bundle {
                 bundle: i,
                 fused: false,
+                store: BundleStore::Full,
             });
             if i == 2 && has_b6 {
                 ops.push(QOp::ReorgFork);
@@ -572,6 +632,7 @@ impl QExecPlan {
             ops.push(QOp::Bundle {
                 bundle: b,
                 fused: false,
+                store: BundleStore::Full,
             });
         }
         if has_b6 {
@@ -579,6 +640,7 @@ impl QExecPlan {
             ops.push(QOp::Bundle {
                 bundle: 5,
                 fused: false,
+                store: BundleStore::Full,
             });
         }
         ops.push(QOp::Head);
@@ -586,15 +648,41 @@ impl QExecPlan {
     }
 
     /// The lowering pass: marks every bundle the predicate accepts as
-    /// fused. The engine passes "does the PW stage requantize back to
-    /// `i8`?" — a head-style stage with no output scale exits to f32
-    /// and can never feed the fused epilogue.
+    /// fused and folds a `Pool` — or `ReorgFork → Pool` — right after a
+    /// fused bundle into its store, dropping those steps. The engine
+    /// passes "does the PW stage requantize back to `i8`?" — a
+    /// head-style stage with no output scale exits to f32 and can never
+    /// feed the fused epilogue.
     pub fn lower_fused(&mut self, fusable: impl Fn(usize) -> bool) {
-        for op in &mut self.ops {
-            if let QOp::Bundle { bundle, fused } = op {
+        let mut ops = Vec::with_capacity(self.ops.len());
+        let mut i = 0;
+        while i < self.ops.len() {
+            let mut op = self.ops[i];
+            i += 1;
+            if let QOp::Bundle {
+                bundle,
+                fused,
+                store,
+            } = &mut op
+            {
                 *fused = fusable(*bundle);
+                if *fused && *store == BundleStore::Full {
+                    match self.ops[i..] {
+                        [QOp::Pool { .. }, ..] => {
+                            *store = BundleStore::Pool;
+                            i += 1;
+                        }
+                        [QOp::ReorgFork, QOp::Pool { .. }, ..] => {
+                            *store = BundleStore::PoolFork;
+                            i += 2;
+                        }
+                        _ => {}
+                    }
+                }
             }
+            ops.push(op);
         }
+        self.ops = ops;
     }
 
     /// The step list (read-only; tests assert the lowering against it).
@@ -631,8 +719,12 @@ mod tests {
         assert_eq!(g.ops().len(), 42);
         assert_eq!(g.ops()[0], Op::DwConv3 { bundle: 0 });
         // The fork sits after Bundle 3's chain, before pool 3.
-        let fork = g.ops().iter().position(|o| *o == Op::ReorgFork).unwrap();
-        assert_eq!(g.ops()[fork + 1], Op::Pool { idx: 2 });
+        let fork = g
+            .ops()
+            .iter()
+            .position(|o| *o == Op::ReorgFork { block: 2 })
+            .unwrap();
+        assert_eq!(g.ops()[fork + 1], Op::Pool { idx: 2, k: 2 });
         assert_eq!(
             g.ops()[fork - 1],
             Op::Act {
@@ -643,7 +735,7 @@ mod tests {
         // Variant A: no fork/join/bundle 6.
         let ga = Graph::from_skynet(&net(Variant::A));
         assert_eq!(ga.ops().len(), 5 * 6 + 3 + 1);
-        assert!(!ga.ops().contains(&Op::ReorgFork));
+        assert!(!ga.ops().iter().any(|o| matches!(o, Op::ReorgFork { .. })));
     }
 
     #[test]
@@ -666,6 +758,68 @@ mod tests {
         for b in 0..6 {
             assert!(g.ops().contains(&Op::FusedBundle { bundle: b }));
         }
+        g.fuse_pool();
+        // 3 pooled bundles (Bundle 3 also forks) + 3 fused bundles +
+        // join + head = 8 ops; no pool or fork step is left.
+        assert_eq!(
+            g.ops(),
+            &[
+                Op::PooledBundle {
+                    bundle: 0,
+                    fork: false
+                },
+                Op::PooledBundle {
+                    bundle: 1,
+                    fork: false
+                },
+                Op::PooledBundle {
+                    bundle: 2,
+                    fork: true
+                },
+                Op::FusedBundle { bundle: 3 },
+                Op::FusedBundle { bundle: 4 },
+                Op::Concat,
+                Op::FusedBundle { bundle: 5 },
+                Op::Head,
+            ]
+        );
+    }
+
+    #[test]
+    fn pool_fold_leaves_variant_a_bundle3_without_a_fork() {
+        let mut g = Graph::from_skynet(&net(Variant::A));
+        g.optimize();
+        // 3 pooled + 2 fused bundles + head.
+        assert_eq!(g.ops().len(), 6);
+        assert_eq!(
+            g.ops()[2],
+            Op::PooledBundle {
+                bundle: 2,
+                fork: false
+            }
+        );
+        assert!(!g.ops().iter().any(|o| matches!(
+            o,
+            Op::PooledBundle { fork: true, .. } | Op::ForkedBundle { .. }
+        )));
+    }
+
+    #[test]
+    fn unfoldable_pool_or_fork_fails_the_plan_build() {
+        let mut n = net(Variant::C);
+        n.pools[1] = skynet_nn::MaxPool2d::new(4);
+        let mut g = Graph::from_skynet(&n);
+        g.optimize();
+        assert!(g.ops().contains(&Op::Pool { idx: 1, k: 4 }));
+        assert!(ExecPlan::build(&n).is_err());
+        let mut n = net(Variant::C);
+        n.reorg = skynet_nn::Reorg::new(4);
+        let mut g = Graph::from_skynet(&n);
+        g.optimize();
+        // The fork stays, so the pool after it stays too.
+        assert!(g.ops().contains(&Op::ReorgFork { block: 4 }));
+        assert!(g.ops().contains(&Op::Pool { idx: 2, k: 2 }));
+        assert!(ExecPlan::build(&n).is_err());
     }
 
     #[test]
@@ -676,7 +830,7 @@ mod tests {
                 .graph()
                 .ops()
                 .iter()
-                .filter(|o| matches!(o, Op::FusedBundle { .. }))
+                .filter(|o| matches!(o, Op::FusedBundle { .. } | Op::PooledBundle { .. }))
                 .count();
             assert_eq!(fused, if v == Variant::A { 5 } else { 6 });
         }
@@ -684,6 +838,11 @@ mod tests {
 
     #[test]
     fn qplan_mirrors_engine_op_order() {
+        let bundle = |bundle, store| QOp::Bundle {
+            bundle,
+            fused: true,
+            store,
+        };
         let p = QExecPlan::for_variant(Variant::C);
         // quantize + 6 bundles + 3 pools + fork + join + head = 13.
         assert_eq!(p.ops().len(), 13);
@@ -696,7 +855,8 @@ mod tests {
             p.ops()[fork - 1],
             QOp::Bundle {
                 bundle: 2,
-                fused: false
+                fused: false,
+                store: BundleStore::Full,
             }
         );
         assert_eq!(p.ops()[fork + 1], QOp::Pool { idx: 2 });
@@ -705,14 +865,57 @@ mod tests {
             p.ops()[join + 1],
             QOp::Bundle {
                 bundle: 5,
-                fused: false
+                fused: false,
+                store: BundleStore::Full,
             }
         );
-        // Variant A: 1 + 5 + 3 + 1 = 10 steps, no fork/join.
-        let pa = QExecPlan::for_variant(Variant::A);
+        // Lowered, the pools and the fork fold into Bundles 1–3:
+        // quantize + 6 bundles + join + head = 9 steps.
+        let mut lowered = p.clone();
+        lowered.lower_fused(|_| true);
+        assert_eq!(
+            lowered.ops(),
+            &[
+                QOp::Quantize,
+                bundle(0, BundleStore::Pool),
+                bundle(1, BundleStore::Pool),
+                bundle(2, BundleStore::PoolFork),
+                bundle(3, BundleStore::Full),
+                bundle(4, BundleStore::Full),
+                QOp::Concat,
+                bundle(5, BundleStore::Full),
+                QOp::Head,
+            ]
+        );
+        // Variant A: 1 + 5 + 3 + 1 = 10 steps, no fork/join; lowered,
+        // 1 + 5 + 1 = 7 with Bundle 3 pooling but not forking.
+        let mut pa = QExecPlan::for_variant(Variant::A);
         assert_eq!(pa.ops().len(), 10);
         assert!(!pa.ops().contains(&QOp::ReorgFork));
         assert!(!pa.ops().contains(&QOp::Concat));
+        pa.lower_fused(|_| true);
+        assert_eq!(pa.ops().len(), 7);
+        assert_eq!(pa.ops()[3], bundle(2, BundleStore::Pool));
+    }
+
+    #[test]
+    fn qplan_lowering_keeps_the_pool_of_an_unfused_bundle() {
+        let mut p = QExecPlan::for_variant(Variant::C);
+        p.lower_fused(|b| b != 1);
+        let at = p
+            .ops()
+            .iter()
+            .position(|o| matches!(o, QOp::Bundle { bundle: 1, .. }))
+            .unwrap();
+        assert_eq!(
+            p.ops()[at],
+            QOp::Bundle {
+                bundle: 1,
+                fused: false,
+                store: BundleStore::Full,
+            }
+        );
+        assert_eq!(p.ops()[at + 1], QOp::Pool { idx: 1 });
     }
 
     #[test]
@@ -722,7 +925,7 @@ mod tests {
         p.lower_fused(|b| b != 3);
         assert_eq!(p.fused_bundles(), 5);
         for op in p.ops() {
-            if let QOp::Bundle { bundle, fused } = op {
+            if let QOp::Bundle { bundle, fused, .. } = op {
                 assert_eq!(*fused, *bundle != 3, "bundle {bundle}");
             }
         }

@@ -35,8 +35,9 @@
 
 use crate::plan::{QExecPlan, QOp};
 use crate::skynet::{SkyNet, Variant};
-use skynet_nn::qint::{qfused_forward, QDwConv3, QFeature, QPointwise};
+use skynet_nn::qint::{check_store, qfused_forward, QDwConv3, QFeature, QPointwise};
 use skynet_nn::{Activation, BatchNorm2d, Conv2d, DwConv2d, Layer, Mode, Sequential};
+use skynet_tensor::fused::BundleStore;
 use skynet_tensor::ops::concat_channels;
 use skynet_tensor::{fusion, telemetry, Tensor};
 
@@ -447,15 +448,26 @@ impl QuantizedSkyNet {
     /// counted under `quant.fused.fallback` — the same observability
     /// contract the float path keeps with `fusion.fallback`. Either way
     /// the output bits are identical (wrapping-i32 accumulation is
-    /// grouping-independent; see [`skynet_tensor::qint`]).
-    fn run_bundle(&self, idx: usize, fused: bool, q: &QFeature) -> skynet_tensor::Result<QFeature> {
+    /// grouping-independent; see [`skynet_tensor::qint`]). Returns the
+    /// stored map and, for a forking `store`, the bypass; the unfused
+    /// detour forks and pools with the staged `reorg`/`maxpool`.
+    fn run_bundle(
+        &self,
+        idx: usize,
+        fused: bool,
+        store: BundleStore,
+        q: &QFeature,
+    ) -> skynet_tensor::Result<(QFeature, Option<QFeature>)> {
         let (dw, pw) = &self.bundles[idx];
         if fused {
             if fusion::enabled() {
-                match qfused_forward(dw, pw, q) {
-                    Ok((out, sats)) => {
+                // Odd extents are an input error the staged fork or pool
+                // raises, not a reason to fall back.
+                check_store(q.shape, store)?;
+                match qfused_forward(dw, pw, q, store) {
+                    Ok((out, bypass, sats)) => {
                         record_bundle_saturation(idx, sats.dw, sats.pw);
-                        return Ok(out);
+                        return Ok((out, bypass));
                     }
                     Err(_) => record_fused_fallback(),
                 }
@@ -466,7 +478,14 @@ impl QuantizedSkyNet {
         let (mid, dw_sat) = dw.forward_counted(q)?;
         let (out, pw_sat) = pw.forward_counted(&mid)?;
         record_bundle_saturation(idx, dw_sat, pw_sat);
-        Ok(out)
+        // The fork reorgs the full map before the pool, as in the graph.
+        let bypass = if store.forks() {
+            Some(out.reorg(2)?)
+        } else {
+            None
+        };
+        let out = if store.pools() { out.maxpool(2)? } else { out };
+        Ok((out, bypass))
     }
 
     /// Runs the integer forward pass by walking the lowered
@@ -492,9 +511,17 @@ impl QuantizedSkyNet {
                     }
                     q
                 }
-                QOp::Bundle { bundle, fused } => {
+                QOp::Bundle {
+                    bundle,
+                    fused,
+                    store,
+                } => {
                     let q = cur.take().expect("Quantize precedes bundles");
-                    self.run_bundle(bundle, fused, &q)?
+                    let (out, by) = self.run_bundle(bundle, fused, store, &q)?;
+                    if by.is_some() {
+                        bypass = by;
+                    }
+                    out
                 }
                 QOp::Pool { .. } => cur.take().expect("Quantize precedes pools").maxpool(2)?,
                 QOp::ReorgFork => {

@@ -132,6 +132,8 @@ fn fused_forward_actually_executes_the_plan() {
     assert_eq!(snap.counter("fusion.plan_builds"), Some(1));
     // Variant C fuses all six bundles (five backbone + the post-concat).
     assert_eq!(snap.counter("fusion.bundles_executed"), Some(6));
+    // Bundles 1–3 store only their pooled maps.
+    assert_eq!(snap.counter("fusion.pools_folded"), Some(3));
     assert_eq!(snap.counter("fusion.fallback"), None);
     telemetry::Builder::new()
         .metrics(false)
@@ -184,7 +186,9 @@ fn plan_tracks_param_mutation_via_visit() {
 /// With the plan active, each bundle's work is traced under a single
 /// `fused.bundleN` span that **replaces** the unfused `skynet.bundleN`
 /// span — the two names never coexist in one forward, so per-op
-/// aggregation cannot double-count bundle time.
+/// aggregation cannot double-count bundle time. The pools and the reorg
+/// fork run inside the bundles' store loops, so none of their spans
+/// appear either.
 #[test]
 fn fused_spans_replace_bundle_spans() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -200,6 +204,11 @@ fn fused_spans_replace_bundle_spans() {
         assert_eq!(count(&format!("fused.bundle{b}")), 1, "fused.bundle{b}");
         assert_eq!(count(&format!("skynet.bundle{b}")), 0, "skynet.bundle{b}");
     }
+    for p in 1..=3 {
+        assert_eq!(count(&format!("skynet.pool{p}")), 0, "skynet.pool{p}");
+    }
+    assert_eq!(count("tensor.pool_fwd"), 0);
+    assert_eq!(count("skynet.reorg"), 0);
     assert_eq!(count("skynet.forward"), 1);
     // The whole-forward span still encloses every fused bundle, so the
     // aggregate view keeps its single root.
@@ -211,6 +220,32 @@ fn fused_spans_replace_bundle_spans() {
         .metrics(false)
         .trace(false)
         .apply();
+}
+
+/// An input whose bundle output cannot pool (an odd extent before pool
+/// 1, 2 or 3, or before the reorg fork) fails the fused forward with
+/// exactly the error the unfused forward raises — the folded store
+/// checks its shapes with the staged pool's and reorg's own checks.
+#[test]
+fn odd_extent_errors_match_with_fusion_on_and_off() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for variant in [Variant::A, Variant::C] {
+        // Pool 1 sees 15 rows; pool 2 sees 15 columns; Bundle 3's map is
+        // 3×8 (reorg fails first in C, pool 3 in A).
+        for (h, w) in [(15usize, 32usize), (16, 30), (12, 32)] {
+            let mut rng = SkyRng::new(61);
+            let shape = Shape::new(1, 3, h, w);
+            let x = Tensor::from_vec(
+                shape,
+                (0..shape.numel()).map(|_| rng.range(-1.0, 1.0)).collect(),
+            )
+            .unwrap();
+            let off = with_fusion(false, || net(variant, 62).forward(&x, Mode::Eval));
+            let on = with_fusion(true, || net(variant, 62).forward(&x, Mode::Eval));
+            let off = off.expect_err("odd extent must fail unfused");
+            assert_eq!(Err(off), on.map(|_| ()), "{variant:?} {h}x{w}");
+        }
+    }
 }
 
 fn toy_samples(n: usize, seed: u64) -> Vec<Sample> {

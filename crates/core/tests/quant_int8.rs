@@ -159,6 +159,7 @@ fn fused_engine_counters_prove_the_fused_path_ran() {
     let _ = with_fusion(true, || engine.forward(&x).unwrap());
     let snap = telemetry::snapshot();
     assert_eq!(snap.counter("quant.fused.bundles_executed"), Some(6));
+    assert_eq!(snap.counter("quant.fused.pools_folded"), Some(3));
     assert_eq!(snap.counter("quant.fused.fallback").unwrap_or(0), 0);
     let fused_sats = sat_counters(&snap);
 
@@ -166,12 +167,67 @@ fn fused_engine_counters_prove_the_fused_path_ran() {
     let _ = with_fusion(false, || engine.forward(&x).unwrap());
     let snap = telemetry::snapshot();
     assert_eq!(snap.counter("quant.fused.bundles_executed").unwrap_or(0), 0);
+    assert_eq!(snap.counter("quant.fused.pools_folded").unwrap_or(0), 0);
     assert_eq!(snap.counter("quant.fused.fallback"), Some(6));
     assert_eq!(
         fused_sats,
         sat_counters(&snap),
         "per-bundle saturation totals depend on the schedule"
     );
+    telemetry::Builder::new()
+        .metrics(false)
+        .trace(false)
+        .apply();
+}
+
+/// The fused engine pools and forks inside Bundles 1–3's store loops:
+/// its trace holds no `tensor.qpool` or `tensor.qreorg` span, while the
+/// unfused walk still runs the three staged pools and the one reorg.
+#[test]
+fn fused_engine_emits_no_pool_or_reorg_spans() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (_, engine) = calibrated_engine(Variant::C, 37);
+    let x = random_images(1, 16, 32, 39);
+    telemetry::Builder::new().metrics(false).trace(true).apply();
+    let spans_of = |fused: bool| {
+        telemetry::drain_spans();
+        let _ = with_fusion(fused, || engine.forward(&x).unwrap());
+        let spans = telemetry::drain_spans();
+        let count = |name: &str| spans.iter().filter(|s| s.name == name).count();
+        (count("tensor.qpool"), count("tensor.qreorg"))
+    };
+    assert_eq!(spans_of(true), (0, 0), "fused");
+    assert_eq!(spans_of(false), (3, 1), "unfused");
+    telemetry::Builder::new()
+        .metrics(false)
+        .trace(false)
+        .apply();
+}
+
+/// An input the staged pool or fork rejects (an odd extent before pool
+/// 1, 2 or 3, or before Bundle 3's reorg fork) fails the fused engine
+/// with the staged walk's exact error, and is not counted as a fused
+/// fallback.
+#[test]
+fn odd_extent_errors_match_fused_and_staged() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (_, engine) = calibrated_engine(Variant::C, 41);
+    telemetry::Builder::new().metrics(true).trace(false).apply();
+    for (h, w) in [(15usize, 32usize), (16, 30), (12, 32)] {
+        let x = random_images(1, h, w, 43);
+        telemetry::reset_metrics();
+        let fused = with_fusion(true, || engine.forward(&x)).map(|_| ());
+        assert_eq!(
+            telemetry::snapshot()
+                .counter("quant.fused.fallback")
+                .unwrap_or(0),
+            0,
+            "{h}x{w}: an input error is not a fallback"
+        );
+        let staged = with_fusion(false, || engine.forward(&x));
+        let staged = staged.expect_err("odd extent must fail staged");
+        assert_eq!(Err(staged), fused, "{h}x{w}");
+    }
     telemetry::Builder::new()
         .metrics(false)
         .trace(false)

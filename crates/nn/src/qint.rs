@@ -32,7 +32,7 @@
 //! plan. See `QUANTIZATION.md` at the repo root for the full contract.
 
 use crate::Act;
-use skynet_tensor::fused::{qfused_bundle_forward, QEpilogue, QFusedSats};
+use skynet_tensor::fused::{qfused_bundle_forward_store, BundleStore, QEpilogue, QFusedSats};
 use skynet_tensor::qint::{self, QMAX};
 use skynet_tensor::{telemetry, Result, Shape, Tensor, TensorError};
 
@@ -131,12 +131,7 @@ impl QFeature {
     /// extents are not divisible by `k`.
     pub fn maxpool(&self, k: usize) -> Result<QFeature> {
         let s = self.shape;
-        if k == 0 || !s.h.is_multiple_of(k) || !s.w.is_multiple_of(k) {
-            return Err(TensorError::InvalidDimension {
-                op: "qint.maxpool",
-                detail: format!("spatial extents {}×{} not divisible by {k}", s.h, s.w),
-            });
-        }
+        check_extents("qint.maxpool", s, k)?;
         let _span = telemetry::span("tensor.qpool");
         Ok(QFeature {
             data: qint::maxpool2d_i8(&self.data, s.n, s.c, s.h, s.w, k),
@@ -162,12 +157,7 @@ impl QFeature {
                 detail: "per-channel scales cannot be reorged".into(),
             });
         }
-        if stride == 0 || !s.h.is_multiple_of(stride) || !s.w.is_multiple_of(stride) {
-            return Err(TensorError::InvalidDimension {
-                op: "qint.reorg",
-                detail: format!("spatial extents {}×{} not divisible by {stride}", s.h, s.w),
-            });
-        }
+        check_extents("qint.reorg", s, stride)?;
         let _span = telemetry::span("tensor.qreorg");
         Ok(QFeature {
             data: qint::reorg_i8(&self.data, s.n, s.c, s.h, s.w, stride),
@@ -215,6 +205,37 @@ impl QFeature {
             scale: QScale::PerChannel(scales),
         })
     }
+}
+
+/// The extent check of the staged pool and reorg: `k` must be positive
+/// and divide both spatial extents.
+fn check_extents(op: &'static str, s: Shape, k: usize) -> Result<()> {
+    if k == 0 || !s.h.is_multiple_of(k) || !s.w.is_multiple_of(k) {
+        return Err(TensorError::InvalidDimension {
+            op,
+            detail: format!("spatial extents {}×{} not divisible by {k}", s.h, s.w),
+        });
+    }
+    Ok(())
+}
+
+/// Fails exactly as the staged fork ([`QFeature::reorg`], which runs
+/// first) and 2×2 pool ([`QFeature::maxpool`]) would on a bundle output
+/// of `shape`'s extents — integer bundles preserve the extents of their
+/// input — so a pooling `store` can reject such an input before any
+/// work, with the staged error.
+///
+/// # Errors
+///
+/// The staged reorg's or pool's [`TensorError::InvalidDimension`].
+pub fn check_store(shape: Shape, store: BundleStore) -> Result<()> {
+    if store.forks() {
+        check_extents("qint.reorg", shape, 2)?;
+    }
+    if store.pools() {
+        check_extents("qint.maxpool", shape, 2)?;
+    }
+    Ok(())
 }
 
 /// Per-channel symmetric weight quantization: each `per`-element group
@@ -558,14 +579,22 @@ impl QPointwise {
 
 /// Runs a `QDwConv3 → QPointwise` stage pair through the cache-resident
 /// fused executor
-/// ([`qfused_bundle_forward`]):
+/// ([`qfused_bundle_forward_store`]):
 /// the DW `i32` tile, its requantized activations, and the PW `i32`
 /// tile stay in the scratch arena, and the requant epilogues run inside
 /// the band store loops. Bit-identical to
 /// `pw.forward(&dw.forward(x)?)` — the equivalence suites assert it —
 /// and it publishes the same `quant.{dwconv3,pointwise}.saturated`
-/// counters. Returns the output feature plus the per-stage saturation
-/// counts (for the engine's per-bundle counters).
+/// counters. Returns the output feature, the bypass (for
+/// [`BundleStore::PoolFork`]) and the per-stage saturation counts (for
+/// the engine's per-bundle counters).
+///
+/// A pooling `store` folds the following 2×2 [`QFeature::maxpool`] —
+/// and for a fork the [`QFeature::reorg`] of the full map, taken before
+/// the pool — into the band store: the output is bit-identical to
+/// `pw.forward(&dw.forward(x)?)?.maxpool(2)`, the bypass to `.reorg(2)`
+/// of the unpooled map, and neither the full map nor the `tensor.qpool`
+/// / `tensor.qreorg` spans appear.
 ///
 /// Accepts a per-channel input scale exactly like the unfused DW stage
 /// (the per-channel multiplier is folded into the DW epilogue; the PW
@@ -575,12 +604,14 @@ impl QPointwise {
 ///
 /// Returns [`TensorError::ShapeMismatch`] on channel mismatches between
 /// `x`, `dw`, and `pw`, and [`TensorError::InvalidDimension`] when `pw`
-/// is head-configured (no `out_scale` — the head never fuses).
+/// is head-configured (no `out_scale` — the head never fuses) or a
+/// pooling store meets odd spatial extents.
 pub fn qfused_forward(
     dw: &QDwConv3,
     pw: &QPointwise,
     x: &QFeature,
-) -> Result<(QFeature, QFusedSats)> {
+    store: BundleStore,
+) -> Result<(QFeature, Option<QFeature>, QFusedSats)> {
     let s = x.shape;
     if s.c != dw.channels {
         return Err(TensorError::ShapeMismatch {
@@ -619,20 +650,37 @@ pub fn qfused_forward(
         clamp: act_clamp(pw.act),
         out_scale: pw_out_scale,
     };
-    let mut data = vec![0i8; s.n * pw.out_c * s.plane()];
-    let sats = qfused_bundle_forward(
-        &x.data, s, &dw.weight, &dw_ep, &pw.weight, pw.out_c, &pw_ep, &mut data,
+    let full = Shape::new(s.n, pw.out_c, s.h, s.w);
+    let os = if store.pools() {
+        full.with_hw(s.h / 2, s.w / 2)
+    } else {
+        full
+    };
+    let mut data = vec![0i8; os.numel()];
+    let mut bypass = vec![0i8; if store.forks() { full.numel() } else { 0 }];
+    let sats = qfused_bundle_forward_store(
+        &x.data,
+        s,
+        &dw.weight,
+        &dw_ep,
+        &pw.weight,
+        pw.out_c,
+        &pw_ep,
+        store,
+        &mut data,
+        &mut bypass,
     )?;
     record_saturation("dwconv3", sats.dw);
     record_saturation("pointwise", sats.pw);
-    Ok((
-        QFeature {
-            data,
-            shape: Shape::new(s.n, pw.out_c, s.h, s.w),
-            scale: QScale::PerTensor(pw_out_scale),
-        },
-        sats,
-    ))
+    let feature = |data, shape| QFeature {
+        data,
+        shape,
+        scale: QScale::PerTensor(pw_out_scale),
+    };
+    let bypass = store
+        .forks()
+        .then(|| feature(bypass, Shape::new(s.n, 4 * pw.out_c, s.h / 2, s.w / 2)));
+    Ok((feature(data, os), bypass, sats))
 }
 
 #[cfg(test)]
@@ -785,7 +833,8 @@ mod tests {
         let (qx, _) = QFeature::quantize(&x, 0.01);
 
         let want = pw.forward(&dw.forward(&qx).unwrap()).unwrap();
-        let (got, _sats) = qfused_forward(&dw, &pw, &qx).unwrap();
+        let (got, by, _sats) = qfused_forward(&dw, &pw, &qx, BundleStore::Full).unwrap();
+        assert!(by.is_none());
         assert_eq!(got.data, want.data, "fused must be bit-identical");
         assert_eq!(got.shape, want.shape);
         assert_eq!(got.scale, want.scale);
@@ -797,12 +846,23 @@ mod tests {
             scale: QScale::PerChannel(vec![0.01, 0.02, 0.015, 0.01]),
         };
         let want = pw.forward(&dw.forward(&qcat).unwrap()).unwrap();
-        let (got, _) = qfused_forward(&dw, &pw, &qcat).unwrap();
+        let (got, _, _) = qfused_forward(&dw, &pw, &qcat, BundleStore::Full).unwrap();
         assert_eq!(got.data, want.data, "per-channel input must fuse exactly");
+
+        // The folded pool and fork match the staged maxpool / reorg.
+        let full = pw.forward(&dw.forward(&qx).unwrap()).unwrap();
+        let (got, by, _) = qfused_forward(&dw, &pw, &qx, BundleStore::PoolFork).unwrap();
+        let (want, want_by) = (full.maxpool(2).unwrap(), full.reorg(2).unwrap());
+        assert_eq!((got.data, got.shape), (want.data, want.shape));
+        let by = by.expect("a forking store returns the bypass");
+        assert_eq!(
+            (by.data, by.shape, by.scale),
+            (want_by.data, want_by.shape, want_by.scale)
+        );
 
         // The head (no out_scale) never fuses.
         let head = QPointwise::fold(&pw_weight, None, None, None, None);
-        assert!(qfused_forward(&dw, &head, &qx).is_err());
+        assert!(qfused_forward(&dw, &head, &qx, BundleStore::Full).is_err());
     }
 
     #[test]

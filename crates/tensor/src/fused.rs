@@ -37,6 +37,18 @@
 //! plan; [`crate::fusion`] (`SKYNET_FUSION`) toggles it, keeping the
 //! unfused path as the equivalence oracle.
 //!
+//! ## Pooled stores
+//!
+//! A bundle followed by SkyNet's 2×2 max-pool — and Bundle 3, whose
+//! full map also feeds the space-to-depth bypass — need not store its
+//! full-resolution map at all ([`BundleStore`]). With an even band
+//! height every 2×2 window lies inside one band's output tile, so
+//! [`fused_bundle_forward_store`] pools each tile straight into the
+//! half-resolution map and permutes it into the bypass. The window
+//! order and comparison replay [`maxpool2d`](crate::pool::maxpool2d)
+//! exactly, and the permutation is [`reorg`](crate::reorg::reorg)'s,
+//! so the pooled map and bypass are bit-identical to the staged ones.
+//!
 //! ## The INT8 twin
 //!
 //! [`qfused_bundle_forward`] is the quantized counterpart: one
@@ -52,11 +64,15 @@
 //! argument: every accumulator is an exact integer sum (any grouping
 //! of wrapping adds agrees), DW rows are row-local, each PW output
 //! element reduces over `k` in ascending order regardless of the band
-//! column count, and requantization is per-element.
+//! column count, and requantization is per-element. Its pooled store
+//! ([`qfused_bundle_forward_store`]) requantizes the PW tile into an
+//! `i8` band tile and pools and permutes from there.
 
 use crate::conv::{pw_bnact_tile, ConvGeometry};
 use crate::dwconv::dw3_bnact_band;
-use crate::qint::{dw_plane_rows, matmul_i8_rows, requant_i8};
+use crate::pool::pool_out_shape;
+use crate::qint::{dw_plane_rows, matmul_i8_rows, maxpool2_rows_i8, requant_i8};
+use crate::reorg::reorg_out_shape;
 use crate::{parallel, scratch, simd, telemetry};
 use crate::{Result, Shape, Tensor, TensorError};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -136,19 +152,144 @@ impl BnAct {
     }
 }
 
-/// `*mut f32` wrapper for the disjoint per-task output writes.
-struct SendPtr(*mut f32);
+/// Raw output pointer shared by the disjoint per-task band writes.
+struct SendPtr<T>(*mut T);
 // SAFETY: each `(item, band)` task writes a disjoint set of output rows
 // (the decomposition partitions `item × band`), so sharing the base
 // pointer across the pool is race-free.
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
+unsafe impl<T> Send for SendPtr<T> {}
+unsafe impl<T> Sync for SendPtr<T> {}
 
-impl SendPtr {
-    /// Whole-struct access so closures capture `SendPtr` (which is
-    /// `Sync`), not the raw pointer field.
-    fn get(&self) -> *mut f32 {
-        self.0
+impl<T> SendPtr<T> {
+    /// The `len` elements at `offset`. A method, so closures capture the
+    /// whole `SendPtr` (which is `Sync`), not the raw pointer field.
+    ///
+    /// # Safety
+    ///
+    /// The range must be in bounds and written by no other task.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn rows(&self, offset: usize, len: usize) -> &mut [T] {
+        std::slice::from_raw_parts_mut(self.0.add(offset), len)
+    }
+}
+
+/// What a fused bundle stores from its final PW+BN+Act tile.
+///
+/// SkyNet pools Bundles 1–3 (2×2, Table 3) and, in variants B/C, forks
+/// Bundle 3's full map into the space-to-depth bypass (Fig. 5). When
+/// the pool — and the fork — fold into the bundle's store loop, the
+/// full-resolution map is never written: each band's tile, still in
+/// the scratch arena, is pooled (and reorged) straight into the
+/// consumers' maps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BundleStore {
+    /// The full-resolution output map.
+    Full,
+    /// Only the 2×2 stride-2 max-pooled map.
+    Pool,
+    /// The pooled map plus the block-2 space-to-depth bypass of the
+    /// full map.
+    PoolFork,
+}
+
+impl BundleStore {
+    /// Whether the store max-pools the tile.
+    pub fn pools(self) -> bool {
+        self != BundleStore::Full
+    }
+
+    /// Whether the store also emits the reorg bypass.
+    pub fn forks(self) -> bool {
+        self == BundleStore::PoolFork
+    }
+}
+
+/// 2×2 stride-2 max-pool of `src` (full rows of width `w`) into `dst`,
+/// in [`maxpool2d`](crate::pool::maxpool2d)'s window order
+/// (0,0),(0,1),(1,0),(1,1) with `if v > best` from −∞ — so a NaN never
+/// wins, a window of NaN/−∞ reads −∞, and an equal later value (e.g.
+/// `+0.0` after `-0.0`) does not displace the first.
+fn maxpool2_rows_f32(dst: &mut [f32], src: &[f32], w: usize) {
+    if w < 2 {
+        return;
+    }
+    for (orow, rows) in dst.chunks_exact_mut(w / 2).zip(src.chunks_exact(2 * w)) {
+        let (r0, r1) = rows.split_at(w);
+        for ((d, a), b) in orow
+            .iter_mut()
+            .zip(r0.chunks_exact(2))
+            .zip(r1.chunks_exact(2))
+        {
+            let mut best = f32::NEG_INFINITY;
+            for v in [a[0], a[1], b[0], b[1]] {
+                if v > best {
+                    best = v;
+                }
+            }
+            *d = best;
+        }
+    }
+}
+
+/// One output channel of a block-2 space-to-depth
+/// ([`reorg`](crate::reorg::reorg)): the `(dy, dx)` sample of every 2×2
+/// block of `src` (full rows of width `w`), row-major into `dst`.
+fn reorg2_rows<T: Copy>(dst: &mut [T], src: &[T], w: usize, dy: usize, dx: usize) {
+    if w < 2 {
+        return;
+    }
+    for (orow, rows) in dst.chunks_exact_mut(w / 2).zip(src.chunks_exact(2 * w)) {
+        let row = &rows[dy * w..(dy + 1) * w];
+        for (d, pair) in orow.iter_mut().zip(row.chunks_exact(2)) {
+            *d = pair[dx];
+        }
+    }
+}
+
+/// Stores one band of a pooled bundle from its output tile (`c2`
+/// channels of `rows × w`, `rows` even, starting at full-map row `y0`
+/// of item `item`): the pooled rows of every channel, from
+/// `pool(dst, channel rows, w)`, into `out`
+/// (`[n, c2, h/2, w/2]`, `out_plane = h/2 · w/2`) and, when `bypass` is
+/// given, the four space-to-depth channels of each into it
+/// (`[n, 4·c2, h/2, w/2]`, channel `4·oc + 2·dy + dx` as in `reorg`).
+///
+/// # Safety
+///
+/// Both maps must have the stated shapes, and pooled rows
+/// `y0/2 .. (y0 + rows)/2` of `item` must be written by no other task.
+#[allow(clippy::too_many_arguments)]
+unsafe fn store_pooled_band<T: Copy>(
+    tile: &[T],
+    c2: usize,
+    w: usize,
+    pool: impl Fn(&mut [T], &[T], usize),
+    (item, y0, rows): (usize, usize, usize),
+    out_plane: usize,
+    out: &SendPtr<T>,
+    bypass: Option<&SendPtr<T>>,
+) {
+    let l = rows * w;
+    let (at, len) = ((y0 / 2) * (w / 2), (rows / 2) * (w / 2));
+    for oc in 0..c2 {
+        let src = &tile[oc * l..(oc + 1) * l];
+        pool(out.rows((item * c2 + oc) * out_plane + at, len), src, w);
+        if let Some(by) = bypass {
+            for q in 0..4 {
+                let dst = by.rows((item * 4 * c2 + 4 * oc + q) * out_plane + at, len);
+                reorg2_rows(dst, src, w, q / 2, q % 2);
+            }
+        }
+    }
+}
+
+/// Rounds a band height up to even when the store pools, so every
+/// 2×2 window lies inside one band. Still a function of the shape only.
+fn pool_aligned(r: usize, store: BundleStore) -> usize {
+    if store.pools() {
+        r + r % 2
+    } else {
+        r
     }
 }
 
@@ -156,14 +297,14 @@ impl SendPtr {
 /// (never the thread count), chosen so the DW and PW tiles together stay
 /// cache-resident while still yielding enough `(item, band)` tasks to
 /// feed the pool.
-fn band_rows(c: usize, c2: usize, os: Shape) -> usize {
+fn band_rows(c: usize, c2: usize, os: Shape, store: BundleStore) -> usize {
     // Both tiles live in L2: (c + c2) · R · W floats ≲ 384 KiB.
     const TILE_F32_BUDGET: usize = 96 * 1024;
     let per_row = (c + c2) * os.w.max(1);
     let r_cache = (TILE_F32_BUDGET / per_row).max(1);
     // At least ~8 bands per item so single-image inference parallelizes.
     let r_par = os.h.div_ceil(8).max(1);
-    r_cache.min(r_par).min(os.h.max(1))
+    pool_aligned(r_cache.min(r_par).min(os.h.max(1)), store)
 }
 
 /// Executes one fused bundle: `DW-Conv3(w_dw) → BN₁ → Act → PW(w_pw) →
@@ -187,6 +328,41 @@ pub fn fused_bundle_forward(
     pw_weight: &Tensor,
     bn2: &BnAct,
 ) -> Result<Tensor> {
+    let (out, _) = fused_bundle_forward_store(
+        input,
+        dw_weight,
+        dw_geo,
+        bn1,
+        pw_weight,
+        bn2,
+        BundleStore::Full,
+    )?;
+    Ok(out)
+}
+
+/// [`fused_bundle_forward`] with a chosen [`BundleStore`]: returns the
+/// stored map and, for [`BundleStore::PoolFork`], the bypass.
+///
+/// The pooled map is bit-identical to
+/// `maxpool2d(fused_bundle_forward(..), 2)` and the bypass to
+/// `reorg(fused_bundle_forward(..), 2)`; bands are then an even number
+/// of rows, so each 2×2 window is read from one tile.
+///
+/// # Errors
+///
+/// The errors of [`fused_bundle_forward`], then — in the unfused
+/// layer order, reorg before pool — the exact [`TensorError`]
+/// [`reorg`](crate::reorg::reorg) and [`maxpool2d`](crate::pool::maxpool2d)
+/// return when the bundle output's extents are odd.
+pub fn fused_bundle_forward_store(
+    input: &Tensor,
+    dw_weight: &Tensor,
+    dw_geo: ConvGeometry,
+    bn1: &BnAct,
+    pw_weight: &Tensor,
+    bn2: &BnAct,
+    store: BundleStore,
+) -> Result<(Tensor, Option<Tensor>)> {
     let is = input.shape();
     let c = is.c;
     let (k, s, p) = (dw_geo.kernel, dw_geo.stride, dw_geo.pad);
@@ -216,10 +392,20 @@ pub fn fused_bundle_forward(
     bn1.check(c, "BN1")?;
     bn2.check(c2, "BN2")?;
     let os_dw = dw_geo.out_shape(is, c);
-    let os = Shape::new(is.n, c2, os_dw.h, os_dw.w);
+    let full = Shape::new(is.n, c2, os_dw.h, os_dw.w);
+    let mut bypass = if store.forks() {
+        Some(Tensor::zeros(reorg_out_shape(full, 2)?))
+    } else {
+        None
+    };
+    let os = if store.pools() {
+        pool_out_shape(full, 2)?
+    } else {
+        full
+    };
     let mut out = Tensor::zeros(os);
 
-    let r = band_rows(c, c2, os_dw);
+    let r = band_rows(c, c2, os_dw, store);
     let nbands = os_dw.h.div_ceil(r).max(1);
     let tasks = is.n * nbands;
 
@@ -227,14 +413,19 @@ pub fn fused_bundle_forward(
     if telemetry::metrics_enabled() {
         telemetry::counter("tensor.fused.fwd_calls").inc();
         let dw_flops = 2 * os_dw.numel() * 9;
-        let pw_flops = 2 * os.numel() * c;
+        let pw_flops = 2 * full.numel() * c;
         telemetry::counter("tensor.fused.fwd_flops").add((dw_flops + pw_flops) as u64);
         telemetry::counter("fusion.bundles_executed").inc();
         // The five per-bundle intermediates the unfused path writes to
         // (and re-reads from) memory: DW out, BN1 out, Act1 out (c
-        // planes each), PW out, BN2 out (c2 planes each).
-        let saved = (3 * c + 2 * c2) * os_dw.plane() * is.n * std::mem::size_of::<f32>();
+        // planes each), PW out, BN2 out (c2 planes each) — plus, when
+        // the pool folds in, the full-resolution output map itself.
+        let maps = 3 * c + 2 * c2 + if store.pools() { c2 } else { 0 };
+        let saved = maps * os_dw.plane() * is.n * std::mem::size_of::<f32>();
         telemetry::counter("fusion.dram_bytes_saved").add(saved as u64);
+        if store.pools() {
+            telemetry::counter("fusion.pools_folded").inc();
+        }
         telemetry::record_gauge("fusion.band_rows", r as f64);
         simd::record_lanes(
             "fused_fwd",
@@ -244,6 +435,9 @@ pub fn fused_bundle_forward(
 
     let be = simd::active();
     let out_ptr = SendPtr(out.as_mut_slice().as_mut_ptr());
+    let by_ptr = bypass
+        .as_mut()
+        .map(|b| SendPtr(b.as_mut_slice().as_mut_ptr()));
     let x = input.as_slice();
     let dw_w = dw_weight.as_slice();
     let pw_w = pw_weight.as_slice();
@@ -276,29 +470,35 @@ pub fn fused_bundle_forward(
                 bn1.channel(ch),
             );
         }
-        pw_bnact_tile(
-            pw_w,
-            &dw_tile[..c * l],
-            &mut pw_tile[..c2 * l],
-            c2,
-            c,
-            l,
-            bn2,
-        );
+        let tile = &mut pw_tile[..c2 * l];
+        pw_bnact_tile(pw_w, &dw_tile[..c * l], tile, c2, c, l, bn2);
+        if store.pools() {
+            // SAFETY: `(item, band)` tasks partition the rows of both
+            // maps (bands are even, so pooled rows split the same way);
+            // shapes were checked above.
+            unsafe {
+                store_pooled_band(
+                    tile,
+                    c2,
+                    os_dw.w,
+                    maxpool2_rows_f32,
+                    (item, y0, y1 - y0),
+                    out_plane,
+                    &out_ptr,
+                    by_ptr.as_ref(),
+                );
+            }
+            return;
+        }
         for oc in 0..c2 {
             // SAFETY: `(item, band)` tasks partition the output rows, so
             // this range is written by exactly one task; the range is in
             // bounds by the shape arithmetic above.
-            let dst = unsafe {
-                std::slice::from_raw_parts_mut(
-                    out_ptr.get().add((item * c2 + oc) * out_plane + y0 * os.w),
-                    l,
-                )
-            };
-            dst.copy_from_slice(&pw_tile[oc * l..(oc + 1) * l]);
+            let dst = unsafe { out_ptr.rows((item * c2 + oc) * out_plane + y0 * os.w, l) };
+            dst.copy_from_slice(&tile[oc * l..(oc + 1) * l]);
         }
     });
-    Ok(out)
+    Ok((out, bypass))
 }
 
 // ---------------------------------------------------------------------------
@@ -334,19 +534,6 @@ pub struct QFusedSats {
     pub pw: u64,
 }
 
-/// `*mut i8` wrapper for the disjoint per-task output row writes (the
-/// INT8 sibling of [`SendPtr`], same disjointness argument).
-struct SendPtrI8(*mut i8);
-// SAFETY: each `(item, band)` task writes a disjoint set of output rows.
-unsafe impl Send for SendPtrI8 {}
-unsafe impl Sync for SendPtrI8 {}
-
-impl SendPtrI8 {
-    fn get(&self) -> *mut i8 {
-        self.0
-    }
-}
-
 /// Row-band height for a fused INT8 bundle: the same L2-residency rule
 /// as [`band_rows`], counted in bytes — per output row the band holds
 /// `c` `i32` + `c` `i8` DW lanes and `c2` `i32` PW lanes. The
@@ -354,12 +541,12 @@ impl SendPtrI8 {
 /// batch of `n ≥ 8` items is parallel already, and cutting each of its
 /// planes into 8 bands would only leave the vector kernels rows too
 /// short to fill their blocks.
-fn qband_rows(n: usize, c: usize, c2: usize, h: usize, w: usize) -> usize {
+fn qband_rows(n: usize, c: usize, c2: usize, h: usize, w: usize, store: BundleStore) -> usize {
     const TILE_BYTE_BUDGET: usize = 384 * 1024;
     let per_row = (5 * c + 4 * c2) * w.max(1);
     let r_cache = (TILE_BYTE_BUDGET / per_row).max(1);
     let r_par = h.div_ceil(8usize.div_ceil(n.max(1))).max(1);
-    r_cache.min(r_par).min(h.max(1))
+    pool_aligned(r_cache.min(r_par).min(h.max(1)), store)
 }
 
 /// Executes one quantized bundle — `DW-Conv3_i8 → requant_i8 → PW_i8 →
@@ -390,6 +577,46 @@ pub fn qfused_bundle_forward(
     pw_ep: &QEpilogue<'_>,
     out: &mut [i8],
 ) -> Result<QFusedSats> {
+    qfused_bundle_forward_store(
+        x,
+        shape,
+        dw_weight,
+        dw_ep,
+        pw_weight,
+        c2,
+        pw_ep,
+        BundleStore::Full,
+        out,
+        &mut [],
+    )
+}
+
+/// [`qfused_bundle_forward`] with a chosen [`BundleStore`]. A pooling
+/// store requantizes each band's PW tile into an `i8` tile in the
+/// scratch arena and writes from it only the 2×2 max-pooled rows into
+/// `out` (`n×c2×h/2×w/2`) and, for [`BundleStore::PoolFork`], the
+/// block-2 space-to-depth rows into `bypass` (`n×4c2×h/2×w/2`; unused
+/// otherwise) — bit-identical to `maxpool2d_i8`/`reorg_i8` over the
+/// full map. Saturation counts are those of the full map.
+///
+/// # Errors
+///
+/// The errors of [`qfused_bundle_forward`], plus
+/// [`TensorError::InvalidDimension`] when a pooling store meets odd
+/// spatial extents.
+#[allow(clippy::too_many_arguments)]
+pub fn qfused_bundle_forward_store(
+    x: &[i8],
+    shape: Shape,
+    dw_weight: &[i8],
+    dw_ep: &QEpilogue<'_>,
+    pw_weight: &[i8],
+    c2: usize,
+    pw_ep: &QEpilogue<'_>,
+    store: BundleStore,
+    out: &mut [i8],
+    bypass: &mut [i8],
+) -> Result<QFusedSats> {
     let (n, c, h, w) = (shape.n, shape.c, shape.h, shape.w);
     let plane = h * w;
     let check = |ok: bool, expected: String, got: String| {
@@ -402,6 +629,15 @@ pub fn qfused_bundle_forward(
                 got,
             })
         }
+    };
+    let full = Shape::new(n, c2, h, w);
+    if store.forks() {
+        reorg_out_shape(full, 2)?;
+    }
+    let os = if store.pools() {
+        pool_out_shape(full, 2)?
+    } else {
+        full
     };
     check(
         x.len() >= n * c * plane,
@@ -419,9 +655,14 @@ pub fn qfused_bundle_forward(
         format!("{}", pw_weight.len()),
     )?;
     check(
-        out.len() >= n * c2 * plane,
-        format!("output of {} i8s", n * c2 * plane),
+        out.len() >= os.numel(),
+        format!("output of {} i8s", os.numel()),
         format!("{}", out.len()),
+    )?;
+    check(
+        !store.forks() || bypass.len() >= full.numel(),
+        format!("bypass of {} i8s", full.numel()),
+        format!("{}", bypass.len()),
     )?;
     check(
         dw_ep.mult.len() == c && dw_ep.bias.len() == c,
@@ -437,7 +678,7 @@ pub fn qfused_bundle_forward(
         return Ok(QFusedSats { dw: 0, pw: 0 });
     }
 
-    let r = qband_rows(n, c, c2, h, w);
+    let r = qband_rows(n, c, c2, h, w, store);
     let nbands = h.div_ceil(r).max(1);
     let tasks = n * nbands;
 
@@ -447,14 +688,19 @@ pub fn qfused_bundle_forward(
         telemetry::counter("quant.fused.bundles_executed").inc();
         // The unfused quantized stage pair materializes an i32 + i8 DW
         // full map and an i32 PW full map; the fused pass writes none
-        // of them.
-        let saved = (5 * c + 4 * c2) * plane * n;
+        // of them — nor, when the pool folds in, the i8 output map.
+        let saved = (5 * c + 4 * c2 + if store.pools() { c2 } else { 0 }) * plane * n;
         telemetry::counter("quant.fused.dram_bytes_saved").add(saved as u64);
+        if store.pools() {
+            telemetry::counter("quant.fused.pools_folded").inc();
+        }
         telemetry::record_gauge("quant.fused.band_rows", r as f64);
     }
 
     let be = simd::active();
-    let out_ptr = SendPtrI8(out.as_mut_ptr());
+    let out_ptr = SendPtr(out.as_mut_ptr());
+    let by_ptr = store.forks().then_some(SendPtr(bypass.as_mut_ptr()));
+    let out_plane = os.plane();
     let dw_sat = AtomicU64::new(0);
     let pw_sat = AtomicU64::new(0);
 
@@ -502,26 +748,46 @@ pub fn qfused_bundle_forward(
             c,
             l,
         );
-        for oc in 0..c2 {
-            // SAFETY: `(item, band)` tasks partition the output rows, so
-            // this range is written by exactly one task; in bounds by the
-            // shape arithmetic above. Rows `y0..y1` of plane `oc` are
-            // contiguous, so requantizing into this slice *is* the store
-            // loop — no staging copy.
-            let dst = unsafe {
-                std::slice::from_raw_parts_mut(
-                    out_ptr.get().add((item * c2 + oc) * plane + y0 * w),
-                    l,
-                )
-            };
-            sat_pw += requant_i8(
+        let requant_pw = |oc: usize, dst: &mut [i8]| {
+            requant_i8(
                 &pw_acc[oc * l..(oc + 1) * l],
                 pw_ep.mult[oc],
                 pw_ep.bias[oc],
                 pw_ep.clamp,
                 pw_ep.out_scale,
                 dst,
-            );
+            )
+        };
+        if store.pools() {
+            let mut q_tile = scratch::checkout_i8("tensor.qfused_fwd", c2 * r * w);
+            for oc in 0..c2 {
+                sat_pw += requant_pw(oc, &mut q_tile[oc * l..(oc + 1) * l]);
+            }
+            // SAFETY: `(item, band)` tasks partition the rows of both
+            // maps (bands are even, so pooled rows split the same way);
+            // lengths were checked above.
+            unsafe {
+                store_pooled_band(
+                    &q_tile[..c2 * l],
+                    c2,
+                    w,
+                    |dst, src, w| maxpool2_rows_i8(be, dst, src, w),
+                    (item, y0, y1 - y0),
+                    out_plane,
+                    &out_ptr,
+                    by_ptr.as_ref(),
+                );
+            }
+        } else {
+            for oc in 0..c2 {
+                // SAFETY: `(item, band)` tasks partition the output rows,
+                // so this range is written by exactly one task; in bounds
+                // by the shape arithmetic above. Rows `y0..y1` of plane
+                // `oc` are contiguous, so requantizing into this slice
+                // *is* the store loop — no staging copy.
+                let dst = unsafe { out_ptr.rows((item * c2 + oc) * plane + y0 * w, l) };
+                sat_pw += requant_pw(oc, dst);
+            }
         }
         // u64 sums are commutative, so the totals are schedule-independent.
         dw_sat.fetch_add(sat_dw, Ordering::Relaxed);
@@ -738,6 +1004,54 @@ mod tests {
             .unwrap();
             assert_eq!(got, want, "n={n} c={c} c2={c2} {h}x{w}");
             assert_eq!((sats.dw, sats.pw), (sat_dw, sat_pw));
+        }
+    }
+
+    /// The f32 pooled-store kernel against `maxpool2d` on windows built
+    /// from NaN, ±∞, ±0 and equal values in every position: the first of
+    /// equal values wins, NaN never wins, a window of NaN/−∞ reads −∞.
+    #[test]
+    fn pooled_store_kernel_matches_maxpool2d_on_special_windows() {
+        use crate::pool::maxpool2d;
+        let specials = [f32::NAN, f32::NEG_INFINITY, f32::INFINITY, -0.0, 0.0, 1.0];
+        // Every 4-tuple of specials as one window: 6⁴ windows in a row
+        // pair of width 2·6⁴.
+        let wins = specials.len().pow(4);
+        let w = 2 * wins;
+        let mut src = vec![0f32; 2 * w];
+        for i in 0..wins {
+            let pick = |d: u32| specials[i / specials.len().pow(d) % specials.len()];
+            src[2 * i] = pick(0);
+            src[2 * i + 1] = pick(1);
+            src[w + 2 * i] = pick(2);
+            src[w + 2 * i + 1] = pick(3);
+        }
+        let mut got = vec![0f32; wins];
+        maxpool2_rows_f32(&mut got, &src, w);
+        let want = maxpool2d(&Tensor::from_vec(Shape::new(1, 1, 2, w), src).unwrap(), 2).unwrap();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(want.output.as_slice()));
+    }
+
+    /// The i8 pooled-store kernel against `maxpool2d_i8` on every
+    /// backend, for widths covering the 32-output AVX2 step and every
+    /// tail, with the code extremes and ties planted.
+    #[test]
+    fn pooled_store_i8_kernel_matches_maxpool2d_i8() {
+        use crate::qint::maxpool2d_i8;
+        for w in (2..=160).step_by(2) {
+            let mut src: Vec<i8> = (0..4 * w)
+                .map(|i| ((i * 73 + w * 5) % 256) as u8 as i8)
+                .collect();
+            src[0] = i8::MIN;
+            src[w + 1] = i8::MAX;
+            src[2..6].fill(i8::MIN);
+            let want = maxpool2d_i8(&src, 1, 1, 4, w, 2);
+            for be in simd::available_backends() {
+                let mut got = vec![0i8; w];
+                maxpool2_rows_i8(be, &mut got, &src, w);
+                assert_eq!(got, want, "{} w={w}", be.name());
+            }
         }
     }
 

@@ -19,6 +19,33 @@ pub struct PoolOutput {
     pub argmax: Vec<u32>,
 }
 
+/// Output shape of a `k×k` stride-`k` max-pool over `input` — the shape
+/// check [`maxpool2d`] runs, shared with the fused bundle's pooled store
+/// so both report the same error for the same input.
+///
+/// # Errors
+///
+/// Returns [`TensorError::InvalidDimension`] when `k == 0` or the spatial
+/// extents are not divisible by `k`.
+pub fn pool_out_shape(input: Shape, k: usize) -> Result<Shape> {
+    if k == 0 {
+        return Err(TensorError::InvalidDimension {
+            op: "maxpool2d",
+            detail: "window size must be positive".into(),
+        });
+    }
+    if !input.h.is_multiple_of(k) || !input.w.is_multiple_of(k) {
+        return Err(TensorError::InvalidDimension {
+            op: "maxpool2d",
+            detail: format!(
+                "spatial extents {}×{} not divisible by {k}",
+                input.h, input.w
+            ),
+        });
+    }
+    Ok(input.with_hw(input.h / k, input.w / k))
+}
+
 /// 2-D max pooling with a square `k×k` window and stride `k`
 /// (non-overlapping, as in the paper).
 ///
@@ -27,20 +54,8 @@ pub struct PoolOutput {
 /// Returns [`TensorError::InvalidDimension`] when `k == 0` or the spatial
 /// extents are not divisible by `k`.
 pub fn maxpool2d(input: &Tensor, k: usize) -> Result<PoolOutput> {
-    if k == 0 {
-        return Err(TensorError::InvalidDimension {
-            op: "maxpool2d",
-            detail: "window size must be positive".into(),
-        });
-    }
     let is = input.shape();
-    if !is.h.is_multiple_of(k) || !is.w.is_multiple_of(k) {
-        return Err(TensorError::InvalidDimension {
-            op: "maxpool2d",
-            detail: format!("spatial extents {}×{} not divisible by {k}", is.h, is.w),
-        });
-    }
-    let os = is.with_hw(is.h / k, is.w / k);
+    let os = pool_out_shape(is, k)?;
     let mut out = Tensor::zeros(os);
     let mut argmax = vec![0u32; os.numel()];
     let src = input.as_slice();
@@ -65,7 +80,10 @@ pub fn maxpool2d(input: &Tensor, k: usize) -> Result<PoolOutput> {
             for oy in 0..os.h {
                 for ox in 0..os.w {
                     let mut best = f32::NEG_INFINITY;
-                    let mut best_idx = 0usize;
+                    // A window with no element above −∞ (all NaN or all
+                    // −∞) keeps its first element as the winner, so the
+                    // index stays inside this plane.
+                    let mut best_idx = base + oy * k * is.w + ox * k;
                     for ky in 0..k {
                         let row = base + (oy * k + ky) * is.w + ox * k;
                         for kx in 0..k {
@@ -168,6 +186,22 @@ mod tests {
         let go = Tensor::from_vec(Shape::new(1, 1, 1, 1), vec![2.5]).unwrap();
         let gi = maxpool2d_backward(x.shape(), &p.argmax, &go).unwrap();
         assert_eq!(gi.as_slice(), &[0.0, 2.5, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn nan_window_in_a_later_plane_routes_inside_its_plane() {
+        let nan = f32::NAN;
+        let x = Tensor::from_vec(
+            Shape::new(1, 2, 2, 2),
+            vec![1.0, 2.0, 3.0, 4.0, nan, nan, nan, nan],
+        )
+        .unwrap();
+        let p = maxpool2d(&x, 2).unwrap();
+        assert_eq!(p.output.as_slice(), &[4.0, f32::NEG_INFINITY]);
+        assert_eq!(p.argmax, vec![3, 4]);
+        let go = Tensor::from_vec(Shape::new(1, 2, 1, 1), vec![1.0, 2.0]).unwrap();
+        let gi = maxpool2d_backward(x.shape(), &p.argmax, &go).unwrap();
+        assert_eq!(gi.as_slice(), &[0.0, 0.0, 0.0, 1.0, 2.0, 0.0, 0.0, 0.0]);
     }
 
     #[test]

@@ -1002,6 +1002,64 @@ pub fn maxpool2d_i8(src: &[i8], n: usize, c: usize, h: usize, w: usize, k: usize
     out
 }
 
+/// The 2×2 stride-2 `i8` max-pool of whole row pairs: `src` holds full
+/// rows of width `w` (an even count), `dst` receives the pooled rows —
+/// the fused INT8 bundle's pooled store. Each window is
+/// `max(max(a₀, a₁), max(b₀, b₁))` exactly as in [`maxpool2d_i8`]'s
+/// k == 2 body; integer max is exact and order-free, so the AVX2 body
+/// (32 outputs per step: a vertical byte max, then the pair max on
+/// sign-extended 16-bit halves, packed back without saturating) agrees
+/// bit for bit.
+pub(crate) fn maxpool2_rows_i8(be: Backend, dst: &mut [i8], src: &[i8], w: usize) {
+    if w < 2 {
+        return;
+    }
+    for (orow, rows) in dst.chunks_exact_mut(w / 2).zip(src.chunks_exact(2 * w)) {
+        let (r0, r1) = rows.split_at(w);
+        let done = match be {
+            Backend::Scalar => 0,
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the Avx2 backend is only ever active after runtime
+            // detection succeeded; the body stays within `r0`/`r1`/`orow`.
+            Backend::Avx2 => unsafe { maxpool2_row_i8_avx2(orow, r0, r1) },
+            #[cfg(not(target_arch = "x86_64"))]
+            Backend::Avx2 => unreachable!("AVX2 is never active off x86_64"),
+        };
+        for ((d, a), b) in orow[done..]
+            .iter_mut()
+            .zip(r0[2 * done..].chunks_exact(2))
+            .zip(r1[2 * done..].chunks_exact(2))
+        {
+            *d = a[0].max(a[1]).max(b[0].max(b[1]));
+        }
+    }
+}
+
+/// AVX2 body of [`maxpool2_rows_i8`] over one row pair; returns how many
+/// outputs it wrote (a multiple of 32), the caller finishes the tail.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn maxpool2_row_i8_avx2(orow: &mut [i8], r0: &[i8], r1: &[i8]) -> usize {
+    use std::arch::x86_64::*;
+    let pairs = |v: __m256i| {
+        // Even bytes and odd bytes of each 16-bit lane, sign-extended.
+        let even = _mm256_srai_epi16::<8>(_mm256_slli_epi16::<8>(v));
+        _mm256_max_epi16(even, _mm256_srai_epi16::<8>(v))
+    };
+    let mut ox = 0;
+    while ox + 32 <= orow.len() {
+        let i = 2 * ox;
+        let load = |r: &[i8], at: usize| _mm256_loadu_si256(r.as_ptr().add(at).cast());
+        let lo = pairs(_mm256_max_epi8(load(r0, i), load(r1, i)));
+        let hi = pairs(_mm256_max_epi8(load(r0, i + 32), load(r1, i + 32)));
+        // packs interleaves 128-bit lanes; the permute restores order.
+        let packed = _mm256_permute4x64_epi64::<0b11_01_10_00>(_mm256_packs_epi16(lo, hi));
+        _mm256_storeu_si256(orow.as_mut_ptr().add(ox).cast(), packed);
+        ox += 32;
+    }
+    ox
+}
+
 /// Space-to-depth reordering on `i8` planes with block size `s`,
 /// mirroring [`reorg`](crate::reorg::reorg): input channel `c` and
 /// intra-block offset `(dy, dx)` land in output channel
