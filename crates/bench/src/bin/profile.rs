@@ -39,11 +39,10 @@ const BASE_DWCONV_SELF_MS: f64 = 320.668 / 40.0;
 const BASE_E2E_MS: f64 = 12.03;
 
 /// Scratch-arena checkout sites (the `op` tags in `tensor::scratch`).
-const SCRATCH_OPS: [&str; 5] = [
+const SCRATCH_OPS: [&str; 4] = [
     "tensor.conv_fwd",
     "tensor.conv_bwd",
     "tensor.dwconv_bwd",
-    "tensor.matmul",
     "tensor.fused_fwd",
 ];
 

@@ -461,19 +461,16 @@ impl QuantizedSkyNet {
         let (dw, pw) = &self.bundles[idx];
         if fused {
             if fusion::enabled() {
-                // Odd extents are an input error the staged fork or pool
-                // raises, not a reason to fall back.
+                // Lowering accepted this bundle's structure, so an error
+                // here is an input error (a channel count, odd extents
+                // under the fork or pool): return it, as the staged
+                // stages would, instead of recomputing the bundle.
                 check_store(q.shape, store)?;
-                match qfused_forward(dw, pw, q, store) {
-                    Ok((out, bypass, sats)) => {
-                        record_bundle_saturation(idx, sats.dw, sats.pw);
-                        return Ok((out, bypass));
-                    }
-                    Err(_) => record_fused_fallback(),
-                }
-            } else {
-                record_fused_fallback();
+                let (out, bypass, sats) = qfused_forward(dw, pw, q, store)?;
+                record_bundle_saturation(idx, sats.dw, sats.pw);
+                return Ok((out, bypass));
             }
+            record_fused_fallback();
         }
         let (mid, dw_sat) = dw.forward_counted(q)?;
         let (out, pw_sat) = pw.forward_counted(&mid)?;

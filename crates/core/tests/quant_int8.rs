@@ -234,6 +234,36 @@ fn odd_extent_errors_match_fused_and_staged() {
         .apply();
 }
 
+/// A wrong channel count is an input error, not a reason to leave the
+/// fused path: a 4-channel image fails the fused engine with the staged
+/// `QDwConv3` error, and no fused fallback is counted.
+#[test]
+fn channel_errors_match_fused_and_staged() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (_, engine) = calibrated_engine(Variant::C, 41);
+    let mut rng = SkyRng::new(47);
+    let shape = Shape::new(1, 4, 16, 32);
+    let x = Tensor::from_vec(
+        shape,
+        (0..shape.numel()).map(|_| rng.normal(0.5, 0.25)).collect(),
+    )
+    .unwrap();
+    telemetry::Builder::new().metrics(true).trace(false).apply();
+    telemetry::reset_metrics();
+    let fused = with_fusion(true, || engine.forward(&x)).map(|_| ());
+    let fallbacks = telemetry::snapshot()
+        .counter("quant.fused.fallback")
+        .unwrap_or(0);
+    telemetry::Builder::new()
+        .metrics(false)
+        .trace(false)
+        .apply();
+    assert_eq!(fallbacks, 0, "an input error is not a fallback");
+    let staged = with_fusion(false, || engine.forward(&x));
+    let staged = staged.expect_err("a 4-channel image must fail staged");
+    assert_eq!(Err(staged), fused);
+}
+
 #[test]
 fn detector_predict_dispatches_to_attached_engine() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());

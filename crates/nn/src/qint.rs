@@ -346,6 +346,19 @@ impl QDwConv3 {
         Ok(self.forward_counted(x)?.0)
     }
 
+    /// Rejects an input whose channel count differs from the stage's —
+    /// the one input error of the staged and the fused bundle alike.
+    fn check_input(&self, s: Shape) -> Result<()> {
+        if s.c != self.channels {
+            return Err(TensorError::ShapeMismatch {
+                op: "QDwConv3",
+                expected: format!("{} channels", self.channels),
+                got: s.to_string(),
+            });
+        }
+        Ok(())
+    }
+
     /// [`QDwConv3::forward`] that also returns the stage's saturation
     /// count, so callers (the quantized engine) can publish per-bundle
     /// counters on top of the aggregate `quant.dwconv3.saturated`.
@@ -355,13 +368,7 @@ impl QDwConv3 {
     /// Same conditions as [`QDwConv3::forward`].
     pub fn forward_counted(&self, x: &QFeature) -> Result<(QFeature, u64)> {
         let s = x.shape;
-        if s.c != self.channels {
-            return Err(TensorError::ShapeMismatch {
-                op: "QDwConv3",
-                expected: format!("{} channels", self.channels),
-                got: s.to_string(),
-            });
-        }
+        self.check_input(s)?;
         let plane = s.plane();
         let mut acc = vec![0i32; s.numel()];
         qint::dwconv3_i8(&x.data, &self.weight, &mut acc, s.n, s.c, s.h, s.w);
@@ -613,13 +620,7 @@ pub fn qfused_forward(
     store: BundleStore,
 ) -> Result<(QFeature, Option<QFeature>, QFusedSats)> {
     let s = x.shape;
-    if s.c != dw.channels {
-        return Err(TensorError::ShapeMismatch {
-            op: "qfused_forward",
-            expected: format!("{} channels", dw.channels),
-            got: s.to_string(),
-        });
-    }
+    dw.check_input(s)?;
     if pw.in_c != dw.channels {
         return Err(TensorError::ShapeMismatch {
             op: "qfused_forward",

@@ -292,34 +292,6 @@ fn add_bias(out_rows: &mut [f32], bias: Option<&[f32]>, l: usize) {
     }
 }
 
-/// Fused point-wise store variant for the bundle executor
-/// ([`crate::fused`]): multiplies a `[c2, c]` point-wise weight into a
-/// `[c, l]` row tile and applies the per-channel BN+activation epilogue
-/// while the `[c2, l]` output tile is still cache-resident.
-///
-/// Bit-identity with the unfused `conv2d` → BN-eval → activation chain
-/// follows from [`matmul_acc`]'s per-element contract — each output
-/// accumulates over `k` in a fixed ascending chain with the `a == 0`
-/// skip, independent of the call's column count and row blocking — and
-/// from [`crate::simd::bn_act_inplace`]'s position-independent per-element
-/// sequence.
-pub(crate) fn pw_bnact_tile(
-    weight: &[f32],
-    tile_in: &[f32],
-    tile_out: &mut [f32],
-    c2: usize,
-    c: usize,
-    l: usize,
-    ep: &crate::fused::BnAct,
-) {
-    tile_out.fill(0.0);
-    matmul_acc(weight, tile_in, tile_out, c2, c, l);
-    for oc in 0..c2 {
-        let (m, inv_std, g, b, hi) = ep.channel(oc);
-        crate::simd::bn_act_inplace(&mut tile_out[oc * l..(oc + 1) * l], m, inv_std, g, b, hi);
-    }
-}
-
 /// Gradients produced by [`conv2d_backward`].
 #[derive(Debug, Clone)]
 pub struct ConvGrads {

@@ -51,7 +51,7 @@
 
 use crate::conv::{check_geometry, ConvGeometry};
 use crate::parallel::{par_chunks_mut, par_chunks_mut2};
-use crate::simd::{self, Backend, F32x8, ScalarV, LANES};
+use crate::simd::{self, Backend, BnActParams, BnActV, F32x8, ScalarV, LANES};
 use crate::{scratch, telemetry};
 use crate::{Result, Shape, Tensor, TensorError};
 
@@ -378,52 +378,11 @@ fn dw3_fwd_interior_dispatch<const S: usize>(
 // Fused-store variants: DW-Conv3 + BN-eval + clamped activation
 // ---------------------------------------------------------------------------
 
-/// Splatted per-channel BN-eval + clamp epilogue constants for the fused
-/// store loops: `y = min(max(g·(x − m)·inv_std + b, 0), hi)`.
-#[derive(Clone, Copy)]
-struct EpV<V> {
-    mv: V,
-    sv: V,
-    gv: V,
-    bv: V,
-    zero: V,
-    hv: V,
-}
-
-impl<V: F32x8> EpV<V> {
-    #[inline(always)]
-    fn new((m, inv_std, g, b, hi): (f32, f32, f32, f32, f32)) -> Self {
-        EpV {
-            mv: V::splat(m),
-            sv: V::splat(inv_std),
-            gv: V::splat(g),
-            bv: V::splat(b),
-            zero: V::splat(0.0),
-            hv: V::splat(hi),
-        }
-    }
-
-    /// [`simd::bn_act_inplace`]'s exact vector operation sequence.
-    #[inline(always)]
-    fn apply(&self, x: V) -> V {
-        self.gv
-            .mul(x.sub(self.mv))
-            .mul(self.sv)
-            .add(self.bv)
-            .max(self.zero)
-            .min(self.hv)
-    }
-}
-
-/// Scalar epilogue, bitwise-equal to [`EpV::apply`] per element (the
-/// same `maxps`/`minps` lane semantics the elementwise kernels' scalar
-/// tails replay).
+/// Scalar epilogue, bitwise-equal to [`BnActV::apply`] per element.
 #[inline(always)]
-fn bnact_scalar(xs: &mut [f32], (m, inv_std, g, b, hi): (f32, f32, f32, f32, f32)) {
+fn bnact_scalar(xs: &mut [f32], ep: BnActParams) {
     for v in xs {
-        let y = g * (*v - m) * inv_std + b;
-        let t = if y > 0.0 { y } else { 0.0 };
-        *v = if t < hi { t } else { hi };
+        *v = simd::bn_act1(*v, ep);
     }
 }
 
@@ -442,7 +401,7 @@ unsafe fn dw3_bnact_block<V: F32x8, const S: usize>(
     po: *mut f32,
     fv: &[V; 9],
     bvv: V,
-    ep: &EpV<V>,
+    ep: &BnActV<V>,
 ) {
     // SAFETY: forwarded to the caller.
     unsafe {
@@ -476,10 +435,10 @@ fn dw3_bnact_row_pre<V: F32x8, const S: usize>(
     r2: &[f32],
     fv: &[V; 9],
     bvv: V,
-    epv: &EpV<V>,
+    epv: &BnActV<V>,
     f: &[f32],
     bv: f32,
-    ep: (f32, f32, f32, f32, f32),
+    ep: BnActParams,
 ) {
     let m = out.len();
     if m < LANES {
@@ -552,14 +511,14 @@ fn dw3_bnact_band_v<V: F32x8, const S: usize>(
     os: Shape,
     p: usize,
     (y0, y1): (usize, usize),
-    ep: (f32, f32, f32, f32, f32),
+    ep: BnActParams,
 ) {
     let (y_lo, y_hi) = interior_range(os.h, is.h, 3, S, p);
     let (x_lo, x_hi) = interior_range(os.w, is.w, 3, S, p);
     let lane = x_lo < x_hi && y_lo < y_hi;
     let fv: [V; 9] = std::array::from_fn(|t| V::splat(filt[t]));
     let bvv = V::splat(bv);
-    let epv = EpV::<V>::new(ep);
+    let epv = BnActV::<V>::new(ep);
     for oy in y0..y1 {
         let row = &mut dst[(oy - y0) * os.w..(oy - y0 + 1) * os.w];
         if !lane || oy < y_lo || oy >= y_hi {
@@ -594,7 +553,7 @@ unsafe fn dw3_bnact_band_avx2<const S: usize>(
     os: Shape,
     p: usize,
     yr: (usize, usize),
-    ep: (f32, f32, f32, f32, f32),
+    ep: BnActParams,
 ) {
     dw3_bnact_band_v::<Avx2V, S>(dst, chan_in, filt, bv, is, os, p, yr, ep)
 }
@@ -620,7 +579,7 @@ pub(crate) fn dw3_bnact_band(
     s: usize,
     p: usize,
     yr: (usize, usize),
-    ep: (f32, f32, f32, f32, f32),
+    ep: BnActParams,
 ) {
     macro_rules! go {
         ($S:literal) => {

@@ -9,9 +9,10 @@
 //! tile (all `C` channels × `R` rows) is produced straight into the
 //! thread-local [`scratch`] arena with the BN+activation epilogue fused
 //! into the store loop ([`crate::dwconv`]'s fused band kernel), then fed
-//! directly into the point-wise matmul whose output tile gets the second
-//! BN+activation epilogue before the only DRAM write — the final output
-//! rows. The full-size intermediates never exist.
+//! directly into the point-wise matmul, whose register tiles get the
+//! second BN+activation epilogue in register before their only store —
+//! the output tile the final rows are copied (or pooled) from. The
+//! full-size intermediates never exist.
 //!
 //! ## Bit-identity
 //!
@@ -26,10 +27,13 @@
 //! * the BN+activation epilogues replay `bn_apply_eval` +
 //!   `relu/relu6`'s per-element sequence, which is independent of the
 //!   vector/tail boundary ([`simd::bn_act_inplace`]);
-//! * [`matmul_acc`](crate::matmul::matmul_acc) accumulates each output
-//!   element over `k` in a fixed ascending chain, independent of the
+//! * the point-wise stage is [`matmul_acc`](crate::matmul::matmul_acc)'s
+//!   register-tiled kernel, which accumulates each output element over
+//!   `k` in a fixed ascending chain from `+0.0`, independent of the
 //!   column count of the call — so a band tile (`n = R·W`) produces the
-//!   same bits as the whole plane (`n = H·W`);
+//!   same bits as the whole plane (`n = H·W`) — and applies the
+//!   BN+activation epilogue to the finished chain, per element, exactly
+//!   as the unfused BN and activation layers do;
 //! * the band decomposition is a fixed function of the shape, never of
 //!   the thread count.
 //!
@@ -68,8 +72,9 @@
 //! ([`qfused_bundle_forward_store`]) requantizes the PW tile into an
 //! `i8` band tile and pools and permutes from there.
 
-use crate::conv::{pw_bnact_tile, ConvGeometry};
+use crate::conv::ConvGeometry;
 use crate::dwconv::dw3_bnact_band;
+use crate::matmul::pw_bnact_tile;
 use crate::pool::pool_out_shape;
 use crate::qint::{dw_plane_rows, matmul_i8_rows, maxpool2_rows_i8, requant_i8};
 use crate::reorg::reorg_out_shape;

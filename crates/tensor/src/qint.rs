@@ -12,7 +12,10 @@
 //!   `i8×i8` products are summed **in pairs** by `vpmaddwd`
 //!   (`_mm256_madd_epi16`), one instruction per pair instead of a
 //!   widen-multiply-widen-add chain. See *Why pairing keeps
-//!   bit-identity* below.
+//!   bit-identity* below. The matmul runs register tiles of 6 output
+//!   rows × 16 columns: the weights are paired once per call, each pair
+//!   of `b` rows is widened and interleaved once for all six rows, and
+//!   the accumulators stay in registers until the tile's only store.
 //!
 //! ## Why pairing keeps bit-identity
 //!
@@ -78,12 +81,13 @@
 //!
 //! [`QLANES`] is 32: one AVX2 register holds 32 `i8`s, four times the
 //! 8-lane f32 ceiling. It is the block of the vector epilogues and the
-//! unit of the `quant.<op>.lanes_used` counters on both backends.
+//! unit of the `quant.dwconv3.lanes_used` counter on both backends; the
+//! matmul counts its 16-column blocks.
 //!
 //! ## Telemetry
 //!
 //! When metrics are on, `quant.<op>.lanes_used` counters tally the
-//! elements processed through full 32-lane blocks, and the saturation
+//! elements processed through full vector blocks, and the saturation
 //! helpers return clamp counts their callers publish as
 //! `quant.<op>.saturated` (see OBSERVABILITY.md).
 
@@ -102,10 +106,9 @@ pub const QLANES: usize = 32;
 /// (zero-point is identically 0 in this scheme).
 pub const QMAX: i32 = 127;
 
-/// Rows per parallel stripe of [`matmul_i8_acc`]. 32 rows of `i32`
-/// accumulators keep a stripe's working set near the f32 kernel's
-/// (which uses 64 f32 rows).
-const QBLOCK: usize = 32;
+/// Rows per parallel stripe of [`matmul_i8_acc`]: eight 6-row register
+/// tiles, the same stripe as the f32 kernel's.
+const QBLOCK: usize = 48;
 
 /// Number of elements of a `len`-element loop that the 32-lane kernels
 /// process as full blocks (the remainder runs scalar).
@@ -151,101 +154,187 @@ fn pair_weights(w0: i8, w1: i8) -> i32 {
     (((w1 as i16 as u16 as u32) << 16) | (w0 as i16 as u16 as u32)) as i32
 }
 
-/// One 16-column pairing block of the matmul: `crow[0..16] ⊞= arow ·
-/// b[.., 0..16]`, where row `p` of the `b` block starts at `b + p·ldb`.
-/// The accumulators stay in `vpmaddwd`'s interleaved pair layout across
-/// the whole `k` loop (no accumulator memory traffic per `k`), reducing
-/// two `i8×i8` products per instruction.
+/// Output rows per register tile of the AVX2 matmul: six rows of two
+/// accumulators plus the two unpacked `b` pair vectors and the weight
+/// broadcast fill fifteen of AVX2's sixteen vector registers.
+#[cfg(target_arch = "x86_64")]
+const QMR: usize = 6;
+
+/// One `R`-row × 16-column `vpmaddwd` register tile: `c[r][0..16] ⊞=
+/// a[i0 + r] · b[.., 0..16]` for the `kc` rows of `b` starting at `b`
+/// (pitch `ldb`), whose weight pairs start at pair `q0`; row `r` of the
+/// tile is stored at `c + r·ldc`. Each pair of
+/// `b` rows is widened and interleaved once and shared by all `R` rows;
+/// the accumulators stay in `vpmaddwd`'s interleaved layout across the
+/// whole loop and are stored once.
 ///
 /// Layout: `_mm256_unpacklo_epi16(x0, x1)` interleaves in-lane, so the
 /// `madd` of the lo/hi unpacks yields columns `[0..4, 8..12]` and
 /// `[4..8, 12..16]`. The same two `_mm256_permute2x128_si256` shuffles
 /// (selectors `0x20`/`0x31`) convert between that layout and the
 /// natural `[0..8]`/`[8..16]` order in both directions, so existing
-/// accumulator values are permuted in once and the finished block is
-/// permuted back out once.
+/// accumulator values are permuted in once and the finished tile is
+/// permuted back out once. An odd final row pairs with itself under the
+/// weight pair `[w, 0]`.
 ///
 /// # Safety
 ///
-/// Requires AVX2; `crow` must be readable and writable for 16 `i32`s
-/// and `b + p·ldb` readable for 16 bytes for every `p < arow.len()`.
+/// Requires AVX2. `wp` holds the weight pairs pair-major (`wp[q·m + i]`,
+/// [`matmul_i8_rows_avx2`]) for pairs `q0..q0 + ⌈kc/2⌉` and rows
+/// `i0..i0 + R`; `b + p·ldb` is readable for 16 bytes for every `p < kc`;
+/// `c + r·ldc` is readable and writable for 16 `i32`s for every `r < R`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[inline]
-unsafe fn matmul_block16_avx2(arow: &[i8], b: *const i8, ldb: usize, crow: *mut i32) {
+#[allow(clippy::too_many_arguments)]
+unsafe fn qtile_avx2<const R: usize>(
+    wp: &[i32],
+    m: usize,
+    q0: usize,
+    i0: usize,
+    b: *const i8,
+    ldb: usize,
+    kc: usize,
+    c: *mut i32,
+    ldc: usize,
+) {
     use std::arch::x86_64::*;
-    let k = arow.len();
-    let acc0 = _mm256_loadu_si256(crow as *const __m256i);
-    let acc1 = _mm256_loadu_si256((crow as *const __m256i).add(1));
-    let mut m0 = _mm256_permute2x128_si256::<0x20>(acc0, acc1);
-    let mut m1 = _mm256_permute2x128_si256::<0x31>(acc0, acc1);
-    let mut p = 0usize;
-    while p + 1 < k {
-        let (w0, w1) = (arow[p], arow[p + 1]);
-        if w0 != 0 || w1 != 0 {
-            let wp = _mm256_set1_epi32(pair_weights(w0, w1));
-            let x0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(b.add(p * ldb) as *const __m128i));
-            let x1 = _mm256_cvtepi8_epi16(_mm_loadu_si128(b.add((p + 1) * ldb) as *const __m128i));
-            m0 = _mm256_add_epi32(m0, _mm256_madd_epi16(_mm256_unpacklo_epi16(x0, x1), wp));
-            m1 = _mm256_add_epi32(m1, _mm256_madd_epi16(_mm256_unpackhi_epi16(x0, x1), wp));
-        }
-        p += 2;
-    }
-    if p < k {
-        let w0 = arow[p];
-        if w0 != 0 {
-            let wp = _mm256_set1_epi32(pair_weights(w0, 0));
-            let x0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(b.add(p * ldb) as *const __m128i));
-            m0 = _mm256_add_epi32(m0, _mm256_madd_epi16(_mm256_unpacklo_epi16(x0, x0), wp));
-            m1 = _mm256_add_epi32(m1, _mm256_madd_epi16(_mm256_unpackhi_epi16(x0, x0), wp));
+    #[inline(always)]
+    unsafe fn madd_rows<const R: usize>(
+        acc: &mut [[__m256i; 2]; R],
+        (lo, hi): (__m256i, __m256i),
+        w: *const i32,
+    ) {
+        for (r, a) in acc.iter_mut().enumerate() {
+            // SAFETY: `w` addresses this pair's weights of the tile's rows.
+            let wv = _mm256_set1_epi32(unsafe { w.add(r).read() });
+            a[0] = _mm256_add_epi32(a[0], _mm256_madd_epi16(lo, wv));
+            a[1] = _mm256_add_epi32(a[1], _mm256_madd_epi16(hi, wv));
         }
     }
-    _mm256_storeu_si256(
-        crow as *mut __m256i,
-        _mm256_permute2x128_si256::<0x20>(m0, m1),
-    );
-    _mm256_storeu_si256(
-        (crow as *mut __m256i).add(1),
-        _mm256_permute2x128_si256::<0x31>(m0, m1),
-    );
+    let widen = |p: *const i8| _mm256_cvtepi8_epi16(_mm_loadu_si128(p as *const __m128i));
+    // SAFETY: every pointer offset is inside the ranges the caller vouches
+    // for.
+    unsafe {
+        let mut acc = [[_mm256_setzero_si256(); 2]; R];
+        for (r, a) in acc.iter_mut().enumerate() {
+            let crow = c.add(r * ldc) as *const __m256i;
+            let (c0, c1) = (_mm256_loadu_si256(crow), _mm256_loadu_si256(crow.add(1)));
+            *a = [
+                _mm256_permute2x128_si256::<0x20>(c0, c1),
+                _mm256_permute2x128_si256::<0x31>(c0, c1),
+            ];
+        }
+        let mut w = wp.as_ptr().add(q0 * m + i0);
+        let mut bp = b;
+        for _ in 0..kc / 2 {
+            let (x0, x1) = (widen(bp), widen(bp.add(ldb)));
+            let pair = (_mm256_unpacklo_epi16(x0, x1), _mm256_unpackhi_epi16(x0, x1));
+            madd_rows(&mut acc, pair, w);
+            bp = bp.add(2 * ldb);
+            w = w.add(m);
+        }
+        if kc % 2 == 1 {
+            let x0 = widen(bp);
+            let pair = (_mm256_unpacklo_epi16(x0, x0), _mm256_unpackhi_epi16(x0, x0));
+            madd_rows(&mut acc, pair, w);
+        }
+        for (r, a) in acc.iter().enumerate() {
+            let crow = c.add(r * ldc) as *mut __m256i;
+            _mm256_storeu_si256(crow, _mm256_permute2x128_si256::<0x20>(a[0], a[1]));
+            _mm256_storeu_si256(crow.add(1), _mm256_permute2x128_si256::<0x31>(a[0], a[1]));
+        }
+    }
 }
 
-/// The AVX2 matmul body: [`matmul_block16_avx2`] over every
-/// full 16-column block. A column remainder (`n % 16` columns — all of
-/// `n` when `n < 16`) is packed into a zero-padded 16-column panel and
-/// runs through the same block against a 16-wide staging row, so
-/// narrow outputs (the short row bands of small feature maps) stay on
-/// the vector path; the padding columns only feed staging lanes that
-/// are never copied back.
+/// [`qtile_avx2`] over rows `i0..i1` (stored from `c` on): whole
+/// `QMR`-row tiles, then one shorter tile for the row remainder.
+///
+/// # Safety
+///
+/// As [`qtile_avx2`], for rows `i0..i1`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+#[allow(clippy::too_many_arguments)]
+unsafe fn qtile_rows_avx2(
+    wp: &[i32],
+    m: usize,
+    q0: usize,
+    (i0, i1): (usize, usize),
+    b: *const i8,
+    ldb: usize,
+    kc: usize,
+    c: *mut i32,
+    ldc: usize,
+) {
+    let mut i = i0;
+    // SAFETY: forwarded to the caller; `i + R <= i1` for every tile.
+    unsafe {
+        while i + QMR <= i1 {
+            qtile_avx2::<QMR>(wp, m, q0, i, b, ldb, kc, c.add((i - i0) * ldc), ldc);
+            i += QMR;
+        }
+        let ct = c.add((i - i0) * ldc);
+        match i1 - i {
+            0 => {}
+            1 => qtile_avx2::<1>(wp, m, q0, i, b, ldb, kc, ct, ldc),
+            2 => qtile_avx2::<2>(wp, m, q0, i, b, ldb, kc, ct, ldc),
+            3 => qtile_avx2::<3>(wp, m, q0, i, b, ldb, kc, ct, ldc),
+            4 => qtile_avx2::<4>(wp, m, q0, i, b, ldb, kc, ct, ldc),
+            _ => qtile_avx2::<5>(wp, m, q0, i, b, ldb, kc, ct, ldc),
+        }
+    }
+}
+
+/// The AVX2 matmul body: the weights are paired into `i32`s once per
+/// call (pair-major, in the scratch arena), then [`qtile_avx2`] runs
+/// over every full 16-column block. A column remainder (`n % 16`
+/// columns — all of `n` when `n < 16`) is packed into a zero-padded
+/// 16-column panel and runs through the same tiles against 16-wide
+/// staging rows, so narrow outputs (the short row bands of small
+/// feature maps) stay on the vector path; the padding columns only feed
+/// staging lanes that are never copied back.
 ///
 /// Exactness: pair sums from sign-extended `i8`s are exact in `i32`
 /// (see the module docs), and wrapping addition is associative, so
 /// this produces the same bits as [`matmul_i8_rows_scalar`] for every
-/// input, wrap-arounds included. A pair whose two weights are both
-/// zero is skipped — exact, since it contributes nothing; an odd final
-/// weight is processed as the pair `[w, 0]`.
+/// input, wrap-arounds included. Zero weights are multiplied, not
+/// skipped: they add an exact 0.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn matmul_i8_rows_avx2(a: &[i8], b: &[i8], c: &mut [i32], m: usize, k: usize, n: usize) {
+    assert!(a.len() >= m * k && b.len() >= k * n && c.len() >= m * n);
+    let mut wp = crate::scratch::checkout_i32("tensor.qmatmul", k.div_ceil(2) * m);
+    for (q, wq) in wp.chunks_exact_mut(m.max(1)).enumerate() {
+        for (i, w) in wq.iter_mut().enumerate() {
+            let w1 = if 2 * q + 1 < k {
+                a[i * k + 2 * q + 1]
+            } else {
+                0
+            };
+            *w = pair_weights(a[i * k + 2 * q], w1);
+        }
+    }
     let nb = n / 16 * 16;
-    for i in 0..m {
-        let arow = &a[i * k..i * k + k];
-        let crow = &mut c[i * n..i * n + n];
-        for j in (0..nb).step_by(16) {
-            // SAFETY: j + 16 <= nb <= n bounds the `c` block, and row p
-            // of `b` holds n >= j + 16 bytes from column 0.
-            unsafe { matmul_block16_avx2(arow, b.as_ptr().add(j), n, crow.as_mut_ptr().add(j)) };
+    for j in (0..nb).step_by(16) {
+        // SAFETY: j + 16 <= nb <= n bounds the `c` and `b` columns of
+        // every row; `wp` holds all ⌈k/2⌉ pairs of all m rows.
+        unsafe {
+            let (bj, cj) = (b.as_ptr().add(j), c.as_mut_ptr().add(j));
+            qtile_rows_avx2(&wp, m, 0, (0, m), bj, n, k, cj, n);
         }
     }
     let tail = n - nb;
     if tail == 0 {
         return;
     }
-    // The panel covers `KC` rows of `b` at a time (a stack buffer, no
-    // allocation); `c ⊞= a·b` splits over row chunks exactly.
+    // The panel covers `KC` rows of `b` at a time (an even count, so
+    // chunks start on a pair boundary) and the staging one row tile; both
+    // are stack buffers. `c ⊞= a·b` splits over row chunks exactly.
     const KC: usize = 64;
     let mut panel = [0i8; KC * 16];
-    let mut stage = [0i32; 16];
+    let mut stage = [0i32; QMR * 16];
     for p0 in (0..k).step_by(KC) {
         let kc = KC.min(k - p0);
         for (p, prow) in panel[..kc * 16].chunks_exact_mut(16).enumerate() {
@@ -253,14 +342,21 @@ unsafe fn matmul_i8_rows_avx2(a: &[i8], b: &[i8], c: &mut [i32], m: usize, k: us
             prow[..tail].copy_from_slice(&b[row + nb..row + n]);
             prow[tail..].fill(0);
         }
-        for i in 0..m {
-            let crow = &mut c[i * n + nb..i * n + n];
-            stage[..tail].copy_from_slice(crow);
-            let arow = &a[i * k + p0..i * k + p0 + kc];
-            // SAFETY: `stage` holds 16 i32s and each of the `kc` panel
-            // rows 16 bytes.
-            unsafe { matmul_block16_avx2(arow, panel.as_ptr(), 16, stage.as_mut_ptr()) };
-            crow.copy_from_slice(&stage[..tail]);
+        for i0 in (0..m).step_by(QMR) {
+            let rows = QMR.min(m - i0);
+            for r in 0..rows {
+                stage[r * 16..r * 16 + tail].copy_from_slice(&c[(i0 + r) * n + nb..][..tail]);
+            }
+            // SAFETY: `stage` holds `rows` 16-wide rows and each of the
+            // `kc` panel rows 16 bytes; `p0` is even, so the chunk's
+            // pairs start at `p0 / 2`.
+            unsafe {
+                let (pp, st) = (panel.as_ptr(), stage.as_mut_ptr());
+                qtile_rows_avx2(&wp, m, p0 / 2, (i0, i0 + rows), pp, 16, kc, st, 16);
+            }
+            for r in 0..rows {
+                c[(i0 + r) * n + nb..][..tail].copy_from_slice(&stage[r * 16..r * 16 + tail]);
+            }
         }
     }
 }
@@ -307,8 +403,9 @@ pub fn matmul_i8_acc(a: &[i8], b: &[i8], c: &mut [i32], m: usize, k: usize, n: u
     let _span = telemetry::span("tensor.qmatmul");
     if telemetry::metrics_enabled() {
         telemetry::counter("quant.matmul.calls").inc();
-        // Nominal: the `a == 0` skip is not deducted.
-        record_qlanes("matmul", m * k * qvector_cover(n));
+        // Every column runs through a 16-column block on the vector
+        // backend, the remainder through one zero-padded panel block.
+        record_qlanes("matmul", m * k * n.div_ceil(16) * 16);
     }
     par_chunks_mut(&mut c[..m * n], QBLOCK * n, |stripe, c_rows| {
         let i0 = stripe * QBLOCK;
@@ -390,7 +487,7 @@ fn dw_plane_rows_scalar(
 /// One 16-column pairing block of the DW stencil at column `xs`:
 /// reduces the row's in-bounds tap list two taps per `vpmaddwd` into
 /// zeroed register accumulators and stores once (overwrite semantics),
-/// in the same permuted layout as [`matmul_i8_rows_avx2`]. The
+/// in the same permuted layout as [`qtile_avx2`]. The
 /// taps of a pair may come from different input rows, each carrying
 /// its own base offset.
 ///

@@ -42,7 +42,7 @@
 //! groups, matching the [`simd`](crate::simd) vector width (one AVX2
 //! register). The vector kernels use unaligned
 //! loads — tensors themselves carry no alignment guarantee — but
-//! scratch-resident tiles (e.g. the matmul B-pack) land on aligned
+//! scratch-resident tiles (e.g. the fused bundle's band tiles) land on aligned
 //! addresses, which keeps those loads from splitting cache lines.
 
 use crate::simd::LANES;
@@ -153,14 +153,39 @@ impl Drop for ScratchBuf {
     }
 }
 
+/// `scratch.<op>.arena_reuse` and `scratch.<op>.bytes_alloc`, looked up
+/// by name once per thread and op: building the names on every checkout
+/// would itself allocate, on the path whose allocations they count.
+fn op_counters(op: &'static str) -> (&'static telemetry::Counter, &'static telemetry::Counter) {
+    type Entry = (
+        &'static str,
+        &'static telemetry::Counter,
+        &'static telemetry::Counter,
+    );
+    thread_local! {
+        static COUNTERS: RefCell<Vec<Entry>> = const { RefCell::new(Vec::new()) };
+    }
+    COUNTERS.with(|list| {
+        let mut list = list.borrow_mut();
+        if let Some(&(_, reuse, alloc)) = list.iter().find(|e| e.0 == op) {
+            return (reuse, alloc);
+        }
+        let reuse = telemetry::counter(&format!("scratch.{op}.arena_reuse"));
+        let alloc = telemetry::counter(&format!("scratch.{op}.bytes_alloc"));
+        list.push((op, reuse, alloc));
+        (reuse, alloc)
+    })
+}
+
 fn record_checkout(op: &'static str, hit: bool, class_bytes: usize) {
     if !telemetry::metrics_enabled() {
         return;
     }
+    let (reuse, alloc) = op_counters(op);
     if hit {
-        telemetry::counter(&format!("scratch.{op}.arena_reuse")).inc();
+        reuse.inc();
     } else {
-        telemetry::counter(&format!("scratch.{op}.bytes_alloc")).add(class_bytes as u64);
+        alloc.add(class_bytes as u64);
         telemetry::counter("scratch.miss_bytes").add(class_bytes as u64);
     }
 }

@@ -20,7 +20,10 @@
 //! the trait is therefore **bit-identical across backends by
 //! construction** — the cross-thread-count determinism guarantee of
 //! [`parallel`](crate::parallel) extends to a cross-ISA guarantee. The
-//! `simd_equivalence` proptest suite asserts it bitwise.
+//! `simd_equivalence` proptest suite asserts it bitwise. One exception:
+//! a NaN's sign and payload. When both operands of an add are NaN, x86
+//! returns the first, and the compiler may commute the add, so a NaN
+//! made by `∞ − ∞` and one from the input can come out either way.
 //!
 //! ## Backend selection
 //!
@@ -709,24 +712,71 @@ elementwise! {
     )
 }
 
+/// One channel's BN-eval + clamp parameters `(m, inv_std, g, b, hi)`,
+/// as [`crate::fused::BnAct::channel`] returns them.
+pub(crate) type BnActParams = (f32, f32, f32, f32, f32);
+
+/// One channel's [`bn_act_inplace`] epilogue with its constants splatted
+/// once, for the fused store loops that apply it in register:
+/// `y = min(max(g·(x − m)·inv_std + b, 0), hi)`.
+#[derive(Clone, Copy)]
+pub(crate) struct BnActV<V> {
+    mv: V,
+    sv: V,
+    gv: V,
+    bv: V,
+    zero: V,
+    hv: V,
+}
+
+impl<V: F32x8> BnActV<V> {
+    #[inline(always)]
+    pub(crate) fn new((m, inv_std, g, b, hi): BnActParams) -> Self {
+        BnActV {
+            mv: V::splat(m),
+            sv: V::splat(inv_std),
+            gv: V::splat(g),
+            bv: V::splat(b),
+            zero: V::splat(0.0),
+            hv: V::splat(hi),
+        }
+    }
+
+    /// [`bn_act_inplace`]'s exact vector operation sequence.
+    #[inline(always)]
+    pub(crate) fn apply(&self, x: V) -> V {
+        self.gv
+            .mul(x.sub(self.mv))
+            .mul(self.sv)
+            .add(self.bv)
+            .max(self.zero)
+            .min(self.hv)
+    }
+}
+
+/// [`BnActV::apply`] on one element: the same sequence, with the
+/// `maxps`/`minps` lane rules replayed in scalar code.
+#[inline(always)]
+pub(crate) fn bn_act1(x: f32, (m, inv_std, g, b, hi): BnActParams) -> f32 {
+    let y = g * (x - m) * inv_std + b;
+    let t = if y > 0.0 { y } else { 0.0 };
+    if t < hi {
+        t
+    } else {
+        hi
+    }
+}
+
 #[inline(always)]
 fn bn_act_g<V: F32x8>(xs: &mut [f32], m: f32, inv_std: f32, g: f32, b: f32, hi: f32) {
-    let (mv, sv, gv, bv) = (V::splat(m), V::splat(inv_std), V::splat(g), V::splat(b));
-    let zero = V::splat(0.0);
-    let hv = V::splat(hi);
+    let ch = (m, inv_std, g, b, hi);
+    let ep = BnActV::<V>::new(ch);
     let n8 = vector_cover(xs.len());
     for j in (0..n8).step_by(LANES) {
-        gv.mul(V::load(&xs[j..]).sub(mv))
-            .mul(sv)
-            .add(bv)
-            .max(zero)
-            .min(hv)
-            .store(&mut xs[j..]);
+        ep.apply(V::load(&xs[j..])).store(&mut xs[j..]);
     }
     for v in &mut xs[n8..] {
-        let y = g * (*v - m) * inv_std + b;
-        let t = if y > 0.0 { y } else { 0.0 };
-        *v = if t < hi { t } else { hi };
+        *v = bn_act1(*v, ch);
     }
 }
 

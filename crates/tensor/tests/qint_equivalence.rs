@@ -380,6 +380,51 @@ fn accumulator_wraps_identically_across_backends() {
     assert!(c.iter().all(|&v| v == 0), "2^32 wraps to exactly zero");
 }
 
+/// The AVX2 matmul's register-tile boundaries: `m` across the 6-row
+/// tile (1…13), `n` across the 16-column block and its zero-padded
+/// panel, odd `k` (an unpaired last row) also past one 64-row panel
+/// chunk, `i8::MIN` planted and accumulators seeded next to `i32::MAX`
+/// so the sums wrap. Every backend, pooled and serial, must equal a
+/// plain wrapping loop written here, not only the scalar backend.
+#[test]
+fn register_tile_boundaries_match_wrapping_oracle() {
+    for k in [1usize, 3, 7, 65, 131] {
+        for m in 1usize..=13 {
+            for n in [1usize, 15, 16, 17, 33, 40] {
+                let mut rng = SkyRng::new((k * 10_000 + m * 100 + n) as u64);
+                let a = random_i8(m * k, &mut rng);
+                let b = random_i8(k * n, &mut rng);
+                let c0: Vec<i32> = (0..m * n).map(|i| i32::MAX - (i % 5) as i32).collect();
+                let mut want = c0.clone();
+                for i in 0..m {
+                    for j in 0..n {
+                        for p in 0..k {
+                            let prod = i32::from(a[i * k + p]) * i32::from(b[p * n + j]);
+                            want[i * n + j] = want[i * n + j].wrapping_add(prod);
+                        }
+                    }
+                }
+                let run = || {
+                    let mut c = c0.clone();
+                    matmul_i8_acc(&a, &b, &mut c, m, k, n);
+                    c
+                };
+                let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+                for be in simd::available_backends() {
+                    assert_eq!(
+                        want,
+                        with_backend(be, run),
+                        "m={m} k={k} n={n} {}",
+                        be.name()
+                    );
+                    let ser = with_backend(be, || parallel::serial(run));
+                    assert_eq!(want, ser, "m={m} k={k} n={n} {} serial", be.name());
+                }
+            }
+        }
+    }
+}
+
 /// Narrow shapes take the staged paths of the AVX2 kernels — DW planes
 /// of at most 17 columns run each row through a zero-padded copy, and a
 /// matmul's last `n % 16` columns through a zero-padded panel — so

@@ -1,7 +1,7 @@
 //! The cross-ISA determinism contract: every available SIMD backend must
 //! be **bit-identical** to the lane-ordered scalar oracle
 //! (`SKYNET_SIMD=scalar`) on every ported kernel — DW-Conv3
-//! forward/backward (strides 1 and 2), the matmul axpy kernels, and the
+//! forward/backward (strides 1 and 2), the register-tiled matmul, and the
 //! elementwise tails (ReLU/ReLU6, bias add, BN apply, SGD update) — over
 //! random shapes/strides/pads, the pinned SkyNet geometries, and the
 //! degenerate border-only case where `interior_range` is empty.
@@ -123,7 +123,7 @@ proptest! {
         dwconv_case(seed, n, c, h, w, stride, pad);
     }
 
-    /// Matmul axpy kernels across backends, shapes straddling the block
+    /// Matmul kernels across backends, shapes straddling the tiles
     /// and lane widths (including the zero-skip via sparse `a`).
     #[test]
     fn matmul_backends_bitwise(
@@ -249,6 +249,131 @@ fn empty_interior_is_border_only_and_agrees() {
     dwconv_case(0xBEF0, 2, 3, 2, 2, 2, 1);
     // 1-pixel-wide input: empty interior along x only.
     dwconv_case(0xBEF1, 1, 2, 8, 1, 1, 1);
+}
+
+/// The plain-loop oracle of the matmul contract: each element is
+/// `c = c + a(i, p)·b(p, j)` over ascending `p`, skipping `a == 0`.
+/// Written independently of the kernels, so a reordering that every
+/// backend shares still fails it.
+fn matmul_oracle(
+    a: impl Fn(usize, usize) -> f32,
+    b: &[f32],
+    c0: &[f32],
+    (m, k, n): (usize, usize, usize),
+) -> Vec<f32> {
+    let mut c = c0.to_vec();
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = c[i * n + j];
+            for p in 0..k {
+                let av = a(i, p);
+                if av != 0.0 {
+                    acc += av * b[p * n + j];
+                }
+            }
+            c[i * n + j] = acc;
+        }
+    }
+    c
+}
+
+/// Operands with the edge values planted: `±0` weights, `−0` in `c`,
+/// NaN and `±∞` in `b` — a `b` row under a zero weight must leave `c`
+/// untouched, even `−0` (`−0 + 0·x` would be `+0` or NaN).
+fn planted_operands(seed: u64, (m, k, n): (usize, usize, usize)) -> [Vec<f32>; 3] {
+    let mut rng = SkyRng::new(seed);
+    let a = (0..m * k)
+        .map(|i| match i % 5 {
+            1 => 0.0,
+            3 => -0.0,
+            _ => rng.range(-2.0, 2.0),
+        })
+        .collect();
+    let b = (0..k * n)
+        .map(|i| match i % 11 {
+            2 => f32::NAN,
+            5 => f32::INFINITY,
+            7 => f32::NEG_INFINITY,
+            _ => rng.range(-2.0, 2.0),
+        })
+        .collect();
+    let c0 = (0..m * n)
+        .map(|i| {
+            if i % 3 == 0 {
+                -0.0
+            } else {
+                rng.range(-1.0, 1.0)
+            }
+        })
+        .collect();
+    [a, b, c0]
+}
+
+/// Bits with every NaN mapped to one pattern. A NaN's sign and payload
+/// are not part of the contract: when both operands of an add are NaN,
+/// x86 returns the first one's, and the compiler may commute the add, so
+/// `∞ − ∞` followed by a planted NaN can come out either way (the
+/// backends already differed there before the register tile).
+fn bits_nan_canon(v: &[f32]) -> Vec<u32> {
+    v.iter()
+        .map(|x| {
+            if x.is_nan() {
+                f32::NAN.to_bits()
+            } else {
+                x.to_bits()
+            }
+        })
+        .collect()
+}
+
+/// `matmul_acc` and `matmul_at_b_acc` against the plain-loop oracle,
+/// bitwise up to NaN payloads, on every backend pooled and serial: `m`
+/// across the 6-row register tile (1…13), `n` across the 8- and
+/// 16-column blocks and their tails (1…40), `k` ∈ {1, 2, 3, 7, 160}.
+#[test]
+fn matmul_matches_plain_loop_oracle() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for k in [1usize, 2, 3, 7, 160] {
+        for m in 1usize..=13 {
+            for n in 1usize..=40 {
+                let seed = (k * 10_000 + m * 100 + n) as u64;
+                let [a, b, c0] = planted_operands(seed, (m, k, n));
+                let want = matmul_oracle(|i, p| a[i * k + p], &b, &c0, (m, k, n));
+                let want = bits_nan_canon(&want);
+                // The same values stored k×m for the transposed entry.
+                let at: Vec<f32> = (0..k * m).map(|t| a[(t % m) * k + t / m]).collect();
+                for be in simd::available_backends() {
+                    for serial in [false, true] {
+                        let run = |f: &dyn Fn(&mut [f32])| {
+                            let mut c = c0.clone();
+                            with_backend(be, || {
+                                if serial {
+                                    parallel::serial(|| f(&mut c));
+                                } else {
+                                    f(&mut c);
+                                }
+                            });
+                            bits_nan_canon(&c)
+                        };
+                        let got = run(&|c| matmul_acc(&a, &b, c, m, k, n));
+                        assert_eq!(
+                            want,
+                            got,
+                            "matmul_acc m={m} k={k} n={n} {} serial={serial}",
+                            be.name()
+                        );
+                        let got = run(&|c| matmul_at_b_acc(&at, &b, c, m, k, n));
+                        assert_eq!(
+                            want,
+                            got,
+                            "matmul_at_b_acc m={m} k={k} n={n} {} serial={serial}",
+                            be.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// `available_backends` is exactly the scalar oracle, plus AVX2 when
